@@ -21,7 +21,7 @@ use dbdc_bench::report::{dataset_checksum, env_fingerprint, wall_histogram, writ
 use dbdc_cluster::{dbscan, par_dbscan, par_dbscan_observed, DbscanParams};
 use dbdc_datagen::dataset_c;
 use dbdc_geom::Euclidean;
-use dbdc_index::{build_index, build_index_observed, IndexKind};
+use dbdc_index::{build_index, build_index_opts, BuildOptions, IndexKind};
 use dbdc_obs::{DatasetInfo, Recorder, RecordingRecorder, RunReport, Span};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -93,24 +93,28 @@ fn write_run_report(g: &dbdc_datagen::GeneratedData, params: &DbscanParams) {
     // timing loops.
     let rec = RecordingRecorder::new();
     let seq_sheet = rec.sheet("sequential").expect("recording recorder");
-    let seq_idx = build_index_observed(
+    let seq_idx = build_index_opts(
         IndexKind::RStar,
         &g.data,
         Euclidean,
         params.eps,
+        BuildOptions::default(),
         Some(&seq_sheet),
+        None,
     );
     dbscan(&g.data, seq_idx.as_ref(), params);
     let threads = 2usize;
     let par_sheet = rec
         .sheet(&format!("parallel[{threads}]"))
         .expect("recording recorder");
-    let par_idx = build_index_observed(
+    let par_idx = build_index_opts(
         IndexKind::RStar,
         &g.data,
         Euclidean,
         params.eps,
+        BuildOptions::default(),
         Some(&par_sheet),
+        None,
     );
     par_dbscan_observed(&g.data, par_idx.as_ref(), params, threads, Some(&par_sheet));
 

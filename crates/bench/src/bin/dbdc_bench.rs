@@ -209,9 +209,9 @@ fn main() {
                         build = build.min(
                             outcome
                                 .timings
-                                .build
+                                .local
                                 .iter()
-                                .copied()
+                                .map(|t| t.build)
                                 .max()
                                 .unwrap_or(Duration::ZERO),
                         );

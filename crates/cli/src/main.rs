@@ -744,8 +744,15 @@ fn cmd_suggest(raw: &[String]) -> CliResult {
     let rec = RecordingRecorder::new();
     let sheet = if wants { rec.sheet("suggest") } else { None };
     let t0 = Instant::now();
-    let index =
-        dbdc_index::build_index_observed(kind, &data, dbdc_geom::Euclidean, 1.0, sheet.as_ref());
+    let index = dbdc_index::build_index_opts(
+        kind,
+        &data,
+        dbdc_geom::Euclidean,
+        1.0,
+        dbdc_index::BuildOptions::default(),
+        sheet.as_ref(),
+        None,
+    );
     let kd = dbdc_cluster::k_distance(&data, index.as_ref(), k);
     let kd_time = t0.elapsed();
     println!("sorted {k}-distance curve: {}", kd.sparkline(60));

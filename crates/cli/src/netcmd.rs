@@ -43,7 +43,7 @@ pub const SERVE_USAGE: &str = "\
 dbdc-server — the DBDC server half over real TCP
 
 usage: dbdc-server --sites K --eps E --min-pts M
-    [--model scor|kmeans] [--eps-global MULT|max] [--index KIND]
+    [--eps-global MULT|max] [--index KIND]
     [--bind ADDR]          listen address (default 127.0.0.1:0)
     [--addr-file FILE]     write the bound address here (atomically) for
                            sites to poll
@@ -140,10 +140,8 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
             "sites",
             "eps",
             "min-pts",
-            "model",
             "eps-global",
             "index",
-            "threads",
             "bind",
             "addr-file",
             "read-timeout-ms",
@@ -437,7 +435,8 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
             "dbdc_site",
             outcome.local_wall + outcome.session_wall + outcome.relabel_wall,
         );
-        root.push(Span::new(format!("local[{site}]"), outcome.local_wall));
+        let workers = dbdc_cluster::effective_threads(params.threads);
+        root.push(outcome.local_times.to_span(site as usize, workers));
         // The session wall covers upload + broadcast receipt: a
         // measured span where the in-process report splices modeled
         // `upload`/`broadcast` durations. Its children are the measured

@@ -126,6 +126,18 @@ fn bad_usage_exits_nonzero_with_message() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
 
+    // The server rejects the local-phase flags it never reads.
+    let serve = ["--sites", "1", "--eps", "1.0", "--min-pts", "3"];
+    for (flag, value) in [("--threads", "2"), ("--model", "kmeans")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dbdc-server"))
+            .args(serve)
+            .args([flag, value])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "dbdc-server accepted {flag}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    }
+
     // Nonexistent input file.
     let out = bin()
         .args([

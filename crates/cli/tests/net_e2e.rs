@@ -359,6 +359,79 @@ fn separate_processes_match_in_process_runtime() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The sites honour the local-phase flags: at `--threads 2 --partitions
+/// 2` the fleet's labels are the in-process runtime's at the same
+/// settings, and every site's report carries the partitioned local
+/// phase — `partition[j]` spans and the halo counter — into the merge.
+#[test]
+fn partitioned_sites_match_in_process_runtime() {
+    let dir = scratch("partitioned");
+    let (points, data) = write_points(&dir);
+    let reference = run_dbdc(
+        &data,
+        &params().with_threads(2).with_partitions(2),
+        Partitioner::RandomEqual { seed: 7 },
+        N_SITES,
+    );
+
+    let (server_report, site_reports, merged_path) = report_paths(&dir);
+    let (server, addr_file) = spawn_server(
+        &dir,
+        &[
+            "--drain-ms",
+            "400",
+            "--run-id",
+            "e2e-partitioned",
+            "--metrics-out",
+            server_report.to_str().unwrap(),
+        ],
+    );
+    let addr = await_addr(&addr_file);
+    let sites: Vec<Child> = (0..N_SITES)
+        .map(|s| {
+            let extra = [
+                "--threads",
+                "2",
+                "--partitions",
+                "2",
+                "--run-id",
+                "e2e-partitioned",
+                "--metrics-out",
+                site_reports[s].to_str().unwrap(),
+            ];
+            spawn_site(&points, &dir, s, &addr, &extra)
+        })
+        .collect();
+    for (s, child) in sites.into_iter().enumerate() {
+        wait_ok(child, &format!("site {s}"));
+    }
+    wait_ok(server, "server");
+
+    assert_eq!(
+        merge_labels(&dir, data.len()),
+        reference.assignment,
+        "partitioned fleet labels differ from in-process run_dbdc"
+    );
+
+    let report = merge_reports_via_cli(&server_report, &site_reports, &merged_path);
+    for s in 0..N_SITES {
+        let local = report
+            .spans
+            .iter()
+            .find_map(|root| root.find(&format!("local[{s}]")))
+            .unwrap_or_else(|| panic!("merged report lost site {s}'s local span"));
+        for name in ["build", "partition[0]", "partition[1]", "extract", "encode"] {
+            assert!(local.find(name).is_some(), "local[{s}] has no {name} span");
+        }
+        assert!(
+            scope(&report, &format!("local[{s}]")).halo_points > 0,
+            "site {s}: no halo points"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A fleet that dies mid-run must not die silently: the server's
 /// deadline exit still flushes its partial `--metrics-out` report
 /// (marked `clean=false`), and while it waits the admin plane serves

@@ -42,7 +42,7 @@
 //! flush-once-per-phase discipline.
 
 use dbdc_geom::{Clustering, Dataset, Metric};
-use dbdc_index::{build_index_observed, IndexKind};
+use dbdc_index::{build_index_opts, BuildOptions, IndexKind};
 use dbdc_obs::Recorder;
 
 /// Counter scope the DBCV hot loops record under.
@@ -272,7 +272,8 @@ fn knn_cores<M: Metric + Clone>(
         .map(|r| metric.dist(r.lo(), r.hi()) / (members.len() as f64))
         .filter(|h| h.is_finite() && *h > 0.0)
         .unwrap_or(1.0);
-    let index = build_index_observed(kind, &sub, metric.clone(), hint, sheet.as_ref());
+    let opts = BuildOptions::default();
+    let index = build_index_opts(kind, &sub, metric.clone(), hint, opts, sheet.as_ref(), None);
     let k = k.max(1).min(members.len() - 1);
     (0..members.len() as u32)
         .map(|local| {

@@ -21,11 +21,14 @@
 //! * [`mod@partitioned`] — partitioned local DBSCAN: spatial stripes
 //!   with ε-halos, a private index per partition, per-partition workers,
 //!   labels identical to [`dbscan::dbscan`] at every partition count.
+//! * [`exec`] — the one dispatch that picks sequential, parallel or
+//!   partitioned DBSCAN from an [`Execution`]'s settings.
 //! * [`mod@dbcv`] — the DBCV relative validity index \[Moulavi et al. 14\],
 //!   the ground-truth-free quality signal for unlabeled workloads.
 
 pub mod dbcv;
 pub mod dbscan;
+pub mod exec;
 pub mod incremental;
 pub mod kdist;
 pub mod kmeans;
@@ -39,19 +42,17 @@ pub mod union_find;
 
 pub use dbcv::{dbcv, dbcv_with, CorePath, DbcvOutcome};
 pub use dbscan::{dbscan, dbscan_euclidean, DbscanParams, DbscanResult};
+pub use exec::{ExecTimes, Execution};
 pub use incremental::IncrementalDbscan;
 pub use kdist::{k_distance, KDistance};
 pub use kmeans::{kmeans_pp, kmeans_seeded, KMeansParams, KMeansResult};
 pub use metric_dbscan::{metric_dbscan, MetricDbscanResult};
 pub use optics::{extract_dbscan, optics, OpticsResult};
 pub use par_dbscan::{
-    effective_threads, par_dbscan, par_dbscan_instrumented, par_dbscan_observed,
-    par_dbscan_with_scp, parallel_neighborhoods,
+    effective_threads, par_dbscan, par_dbscan_observed, par_dbscan_with_scp, parallel_neighborhoods,
 };
 pub use partitioned::{
-    effective_partitions, partitioned_dbscan, partitioned_dbscan_with_scp,
-    partitioned_dbscan_with_scp_observed, partitioned_neighborhoods,
-    partitioned_neighborhoods_observed, PartitionStats,
+    effective_partitions, partitioned_dbscan, partitioned_dbscan_with_scp_observed, PartitionStats,
 };
 pub use scp::{dbscan_with_scp, ScpResult, SpecificCorePoint};
 pub use singlelink::{single_link, Dendrogram, Merge};

@@ -166,32 +166,13 @@ pub fn par_dbscan_observed(
     threads: usize,
     sheet: Option<&dbdc_obs::CounterSheet>,
 ) -> DbscanResult {
-    par_dbscan_instrumented(data, index, params, threads, sheet, None)
-}
-
-/// [`par_dbscan_observed`] with an optional [`dbdc_obs::HistSheet`]
-/// capturing the *distribution* of DSU batch sizes — how many union
-/// operations each core point's neighborhood contributes to the merge
-/// phase. A heavy tail here means a few dense hubs dominate the merge.
-/// With `hist: None` the merge loop is the uninstrumented original.
-///
-/// # Panics
-/// Panics if the index does not cover `data` (`index.len() != data.len()`).
-pub fn par_dbscan_instrumented(
-    data: &Dataset,
-    index: &dyn NeighborIndex,
-    params: &DbscanParams,
-    threads: usize,
-    sheet: Option<&dbdc_obs::CounterSheet>,
-    hist: Option<&dbdc_obs::HistSheet>,
-) -> DbscanResult {
     assert_eq!(
         index.len(),
         data.len(),
         "index must be built over the clustered dataset"
     );
     let neighbors = parallel_neighborhoods(data, index, params.eps, threads);
-    cluster_from_neighborhoods(data.len(), &neighbors, params.min_pts, sheet, hist)
+    cluster_from_neighborhoods(data.len(), &neighbors, params.min_pts, sheet, None)
 }
 
 /// Steps 2-4 of the module algorithm: core flags, core-core merge, and
@@ -199,6 +180,9 @@ pub fn par_dbscan_instrumented(
 /// depend only on the neighbor *sets*, not their list order (see the
 /// module docs), so callers may hand in neighborhoods in any per-list
 /// order — the partitioned local phase sorts its lists ascending.
+/// `hist`, when given, captures the *distribution* of DSU batch sizes —
+/// how many union operations each core point's neighborhood contributes;
+/// a heavy tail means a few dense hubs dominate the merge.
 pub(crate) fn cluster_from_neighborhoods(
     n: usize,
     neighbors: &[Vec<u32>],
@@ -584,13 +568,13 @@ mod tests {
         let params = DbscanParams::new(0.4, 3);
         let sheet = dbdc_obs::CounterSheet::new();
         let hist = dbdc_obs::HistSheet::new();
-        let r = par_dbscan_instrumented(&d, &idx, &params, 2, Some(&sheet), Some(&hist));
+        let nb = parallel_neighborhoods(&d, &idx, params.eps, 2);
+        let r = cluster_from_neighborhoods(d.len(), &nb, params.min_pts, Some(&sheet), Some(&hist));
         let h = hist.snapshot();
         let c = sheet.snapshot();
 
         // One batch per core point; the batch sizes sum to the union
         // *calls*, of which exactly dsu_unions succeeded.
-        let nb = parallel_neighborhoods(&d, &idx, params.eps, 1);
         let core_count = nb.iter().filter(|ns| ns.len() >= params.min_pts).count() as u64;
         assert_eq!(h.count(), core_count);
         assert!(h.sum() >= c.dsu_unions);

@@ -24,14 +24,15 @@
 //! labels are **identical** to sequential [`crate::dbscan::dbscan`] at
 //! every partition count — that identity is the correctness gate the
 //! tests pin. Specific-core-point selection is visit-order dependent
-//! (Definition 6), so [`partitioned_dbscan_with_scp`] replays the same
-//! sequential state machine over the sorted neighborhoods: its labels
-//! are again identical, while the chosen representatives may differ
-//! deterministically from the unpartitioned run's.
+//! (Definition 6), so [`partitioned_dbscan_with_scp_observed`] replays
+//! the same sequential state machine over the sorted neighborhoods: its
+//! labels are again identical, while the chosen representatives may
+//! differ deterministically from the unpartitioned run's.
 
 use crate::dbscan::{DbscanParams, DbscanResult};
 use crate::par_dbscan::{cluster_from_neighborhoods, effective_threads, replay_scp};
 use crate::scp::ScpResult;
+use crate::union_find::UnionFind;
 use dbdc_geom::{Dataset, Euclidean};
 use dbdc_index::{build_index_opts, BuildOptions, IndexKind, Precision, QueryWorkspace};
 use std::sync::Mutex;
@@ -60,6 +61,11 @@ pub struct PartitionStats {
     pub partition_owned: Vec<usize>,
     /// Halo points replicated into each partition.
     pub partition_halo: Vec<usize>,
+    /// Cross-partition core–core unions the merge makes after every
+    /// partition has united its own cores: the merge messages a
+    /// distributed deployment would exchange. Counted by
+    /// [`partitioned_dbscan`] only; zero elsewhere.
+    pub merge_edges: u64,
 }
 
 /// One stripe's slice of the axis-sorted order: it owns positions
@@ -74,28 +80,50 @@ struct Stripe {
     halo_end: usize,
 }
 
+/// The stripe layout of one run: the axis-sorted point order and each
+/// stripe's slice of it.
+#[derive(Debug, Default)]
+pub(crate) struct Layout {
+    order: Vec<u32>,
+    stripes: Vec<Stripe>,
+}
+
+impl Layout {
+    /// See [`PartitionStats::merge_edges`]: the pieces the partitions'
+    /// own core–core unions leave, less the clusters they merge into.
+    fn merge_edges(&self, neighbors: &[Vec<u32>], core: &[bool], clusters: u32) -> u64 {
+        let mut owner = vec![0usize; neighbors.len()];
+        for s in &self.stripes {
+            for &i in &self.order[s.own_start..s.own_end] {
+                owner[i as usize] = s.part;
+            }
+        }
+        let mut pieces = UnionFind::new(neighbors.len());
+        let mut joins = 0u64;
+        for (i, list) in neighbors.iter().enumerate().filter(|&(i, _)| core[i]) {
+            for &q in list {
+                // Neighborhoods are symmetric: visit each edge once.
+                let j = q as usize;
+                if j > i && owner[j] == owner[i] && core[j] && pieces.union(i as u32, q) {
+                    joins += 1;
+                }
+            }
+        }
+        let cores = core.iter().filter(|&&c| c).count() as u64;
+        cores - joins - u64::from(clusters)
+    }
+}
+
 /// Computes every point's closed ε-neighborhood through per-partition
 /// indexes, with partitions processed concurrently on up to `threads`
 /// workers (`0` = all cores). Neighbor lists come back sorted
 /// ascending; as sets they equal the answers of one index over the
-/// whole dataset.
-pub fn partitioned_neighborhoods(
-    data: &Dataset,
-    kind: IndexKind,
-    eps: f64,
-    partitions: usize,
-    threads: usize,
-    precision: Precision,
-) -> (Vec<Vec<u32>>, PartitionStats) {
-    partitioned_neighborhoods_observed(data, kind, eps, partitions, threads, precision, None, None)
-}
-
-/// [`partitioned_neighborhoods`] with optional instrumentation shared
-/// by every partition's index: `sheet` collects query work counters,
-/// `hist` the per-query latency distribution. The sheets are lock-free,
-/// so partition workers record concurrently.
+/// whole dataset. Also returns the stripe layout. Every partition's
+/// index reports into the optional `sheet` (query work counters) and
+/// `hist` (per-query latency); the sheets are lock-free, so partition
+/// workers record concurrently.
 #[allow(clippy::too_many_arguments)]
-pub fn partitioned_neighborhoods_observed(
+pub(crate) fn partitioned_neighborhoods(
     data: &Dataset,
     kind: IndexKind,
     eps: f64,
@@ -104,7 +132,7 @@ pub fn partitioned_neighborhoods_observed(
     precision: Precision,
     sheet: Option<&std::sync::Arc<dbdc_obs::CounterSheet>>,
     hist: Option<&std::sync::Arc<dbdc_obs::HistSheet>>,
-) -> (Vec<Vec<u32>>, PartitionStats) {
+) -> (Vec<Vec<u32>>, PartitionStats, Layout) {
     let n = data.len();
     let partitions = partitions.max(1).min(n.max(1));
     let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -114,9 +142,10 @@ pub fn partitioned_neighborhoods_observed(
         partition_times: vec![Duration::ZERO; partitions],
         partition_owned: vec![0; partitions],
         partition_halo: vec![0; partitions],
+        merge_edges: 0,
     };
     if n == 0 {
-        return (neighbors, stats);
+        return (neighbors, stats, Layout::default());
     }
 
     // Stripe along the widest-spread axis: striping a degenerate axis
@@ -201,7 +230,7 @@ pub fn partitioned_neighborhoods_observed(
                 neighbors[order[s.own_start + k] as usize] = nb;
             }
         }
-        return (neighbors, stats);
+        return (neighbors, stats, Layout { order, stripes });
     }
     type StripeOut = Option<(Vec<Vec<u32>>, Duration)>;
     let outs: Vec<Mutex<StripeOut>> = stripes.iter().map(|_| Mutex::new(None)).collect();
@@ -237,14 +266,15 @@ pub fn partitioned_neighborhoods_observed(
             neighbors[order[s.own_start + k] as usize] = nb;
         }
     }
-    (neighbors, stats)
+    (neighbors, stats, Layout { order, stripes })
 }
 
 /// Partitioned DBSCAN: stripes + halos + per-partition indexes, merged
 /// through the same union-find canonicalization as
 /// [`crate::par_dbscan::par_dbscan`]. Labels are identical to
 /// sequential [`crate::dbscan::dbscan`] for every backend, thread
-/// count, and partition count.
+/// count, and partition count. Also counts the merge's
+/// [`PartitionStats::merge_edges`].
 pub fn partitioned_dbscan(
     data: &Dataset,
     kind: IndexKind,
@@ -253,31 +283,20 @@ pub fn partitioned_dbscan(
     threads: usize,
     precision: Precision,
 ) -> (DbscanResult, PartitionStats) {
-    let (neighbors, stats) =
-        partitioned_neighborhoods(data, kind, params.eps, partitions, threads, precision);
+    let (neighbors, mut stats, layout) = partitioned_neighborhoods(
+        data, kind, params.eps, partitions, threads, precision, None, None,
+    );
     let result = cluster_from_neighborhoods(data.len(), &neighbors, params.min_pts, None, None);
+    stats.merge_edges =
+        layout.merge_edges(&neighbors, &result.core, result.clustering.n_clusters());
     (result, stats)
 }
 
 /// Partitioned variant of [`crate::par_dbscan::par_dbscan_with_scp`]:
 /// identical labels, deterministic (but possibly different from the
 /// unpartitioned run's) specific-core-point representatives — see the
-/// module docs.
-pub fn partitioned_dbscan_with_scp(
-    data: &Dataset,
-    kind: IndexKind,
-    params: &DbscanParams,
-    partitions: usize,
-    threads: usize,
-    precision: Precision,
-) -> (ScpResult, PartitionStats) {
-    let (neighbors, stats) =
-        partitioned_neighborhoods(data, kind, params.eps, partitions, threads, precision);
-    (replay_scp(data, &neighbors, params), stats)
-}
-
-/// [`partitioned_dbscan_with_scp`] with optional instrumentation, as
-/// [`partitioned_neighborhoods_observed`].
+/// module docs. Every partition's index reports into the optional `sheet`
+/// (query work counters) and `hist` (per-query latency).
 #[allow(clippy::too_many_arguments)]
 pub fn partitioned_dbscan_with_scp_observed(
     data: &Dataset,
@@ -289,7 +308,7 @@ pub fn partitioned_dbscan_with_scp_observed(
     sheet: Option<&std::sync::Arc<dbdc_obs::CounterSheet>>,
     hist: Option<&std::sync::Arc<dbdc_obs::HistSheet>>,
 ) -> (ScpResult, PartitionStats) {
-    let (neighbors, stats) = partitioned_neighborhoods_observed(
+    let (neighbors, stats, _) = partitioned_neighborhoods(
         data, kind, params.eps, partitions, threads, precision, sheet, hist,
     );
     (replay_scp(data, &neighbors, params), stats)
@@ -343,8 +362,8 @@ mod tests {
         let d = two_blobs_and_noise();
         let idx = LinearScan::new(&d, Euclidean);
         let eps = 1.2;
-        let (nb, stats) =
-            partitioned_neighborhoods(&d, IndexKind::KdTree, eps, 4, 2, Precision::F64);
+        let (nb, stats, _) =
+            partitioned_neighborhoods(&d, IndexKind::KdTree, eps, 4, 2, Precision::F64, None, None);
         assert!(stats.halo_points > 0, "ε-halos must replicate points");
         assert_eq!(
             stats.halo_points,
@@ -366,7 +385,8 @@ mod tests {
         for i in 0..400 {
             d.push(&[(i % 7) as f64 * 0.01, i as f64 * 0.5]);
         }
-        let (_, stats) = partitioned_neighborhoods(&d, IndexKind::Grid, 1.0, 4, 2, Precision::F64);
+        let (_, stats, _) =
+            partitioned_neighborhoods(&d, IndexKind::Grid, 1.0, 4, 2, Precision::F64, None, None);
         let owned: usize = stats.partition_owned.iter().sum();
         assert_eq!(owned, d.len());
         assert!(
@@ -394,8 +414,16 @@ mod tests {
         let idx = LinearScan::new(&d, Euclidean);
         let params = DbscanParams::new(0.8, 3);
         let seq = dbscan(&d, &idx, &params);
-        let (scp, _) =
-            partitioned_dbscan_with_scp(&d, IndexKind::KdTree, &params, 3, 2, Precision::F64);
+        let (scp, _) = partitioned_dbscan_with_scp_observed(
+            &d,
+            IndexKind::KdTree,
+            &params,
+            3,
+            2,
+            Precision::F64,
+            None,
+            None,
+        );
         assert_eq!(seq.clustering, scp.dbscan.clustering);
         // Every core point must be covered by a representative of its
         // own cluster within the specific ε-range (Definition 7).
@@ -427,6 +455,23 @@ mod tests {
         let (r, stats) = partitioned_dbscan(&d, IndexKind::KdTree, &params, 9, 4, Precision::F64);
         assert_eq!(seq.clustering, r.clustering);
         assert_eq!(stats.partitions, 3, "clamped to the point count");
+    }
+
+    #[test]
+    fn merge_edges_join_the_stripes_once_each() {
+        // One chain along axis 0: every stripe's cores form one piece,
+        // and the merge joins neighbouring pieces once per boundary.
+        let mut d = Dataset::new(2);
+        for i in 0..200 {
+            d.push(&[i as f64 * 0.4, 0.0]);
+        }
+        let params = DbscanParams::new(0.5, 3);
+        for (partitions, edges) in [(1, 0), (2, 1), (4, 3)] {
+            let (r, stats) =
+                partitioned_dbscan(&d, IndexKind::Grid, &params, partitions, 1, Precision::F64);
+            assert_eq!(r.clustering.n_clusters(), 1);
+            assert_eq!(stats.merge_edges, edges, "partitions={partitions}");
+        }
     }
 
     #[test]

@@ -146,10 +146,9 @@ mod tests {
     use super::*;
     use crate::params::{DbdcParams, EpsGlobal};
     use crate::partition::Partitioner;
-    use crate::relabel::relabel_site;
     use crate::runtime::central_dbscan;
-    use dbdc_cluster::{dbscan_with_scp, DbscanParams};
-    use dbdc_geom::Euclidean;
+    use crate::step::{local_phase, relabel_phase, server_phase};
+    use dbdc_obs::NoopRecorder;
 
     fn labels(v: &[i64]) -> Clustering {
         Clustering::from_labels_verbatim(
@@ -203,37 +202,29 @@ mod tests {
 
     #[test]
     fn end_to_end_federation_counts_match_assignment() {
-        // Run the protocol manually so the per-site relabelings (with
-        // shared global ids) are available, then check the federation's
-        // totals against the assembled assignment.
+        // Run the protocol step by step so the per-site relabelings
+        // (with shared global ids) are available, then check the
+        // federation's totals against the assembled assignment.
         let g = dbdc_datagen::dataset_c(31);
         let params = DbdcParams::new(g.suggested_eps, g.suggested_min_pts)
             .with_eps_global(EpsGlobal::MultipleOfLocal(2.0));
         let sites = 3;
         let assignment = Partitioner::RandomEqual { seed: 31 }.assign(&g.data, sites);
         let (parts, _) = g.data.partition(sites, &assignment);
-        let mut models = Vec::new();
-        let mut locals = Vec::new();
-        for (site, part) in parts.iter().enumerate() {
-            let idx = dbdc_index::build_index(params.index, part, Euclidean, params.eps_local);
-            let scp = dbscan_with_scp(
-                part,
-                idx.as_ref(),
-                &DbscanParams::new(params.eps_local, params.min_pts_local),
-            );
-            models.push(crate::local_model::build_local_model(
-                params.model,
-                part,
-                &scp,
-                site as u32,
-            ));
-            locals.push(scp);
-        }
-        let global = crate::global_model::build_global_model(&models, &params);
-        let relabeled: Vec<Clustering> = parts
-            .iter()
-            .zip(&locals)
-            .map(|(part, scp)| relabel_site(part, &scp.dbscan.clustering, &global))
+        let locals: Vec<_> = (0..sites as u32)
+            .zip(&parts)
+            .map(|(site, part)| local_phase(site, part, &params, &NoopRecorder))
+            .collect();
+        let uploads: Vec<&[u8]> = locals.iter().map(|l| l.encoded.as_ref()).collect();
+        let server = server_phase(&uploads, &params, None).expect("uploads decode");
+        let relabeled: Vec<Clustering> = (0..sites as u32)
+            .zip(parts.iter().zip(&locals))
+            .map(|(site, (part, local))| {
+                let clustering = &local.scp.dbscan.clustering;
+                relabel_phase(site, part, clustering, &server.encoded, &NoopRecorder)
+                    .expect("broadcast decodes")
+                    .1
+            })
             .collect();
         let fed = Federation::new(&relabeled);
         // Every global cluster's federated size equals its total membership.

@@ -15,8 +15,10 @@
 //! 4. the global model is broadcast and every site [`relabel`]s its objects,
 //!    merging local clusters and upgrading covered noise.
 //!
-//! [`runtime`] orchestrates the whole protocol (sequentially, matching the
-//! paper's cost model, or threaded); [`quality`] implements the paper's
+//! [`step`] holds one site's half of the protocol and the server's step,
+//! shared by every execution path; [`runtime`] orchestrates the whole
+//! protocol over them (sequentially, matching the paper's cost model, or
+//! threaded); [`quality`] implements the paper's
 //! `P^I`/`P^II` object quality functions and `Q_DBDC`; [`wire`] gives the
 //! models an exact byte cost; [`partition`] distributes datasets onto sites;
 //! [`network`] converts bytes into simulated transfer times.
@@ -54,6 +56,7 @@ pub mod quality;
 pub mod rachet;
 pub mod relabel;
 pub mod runtime;
+pub mod step;
 pub mod streaming;
 pub mod wire;
 
@@ -72,4 +75,5 @@ pub use runtime::{
     central_dbscan, central_dbscan_recorded, run_dbdc, run_dbdc_recorded, run_dbdc_threaded,
     run_dbdc_threaded_recorded, DbdcOutcome, PhaseThreads, Timings,
 };
+pub use step::{local_phase, relabel_phase, server_phase, LocalPhase, LocalTimes, ServerPhase};
 pub use streaming::{ClientSession, ServerSession};

@@ -128,7 +128,7 @@ pub fn dbdc_run_report(
                 points: outcome.site_sizes[site],
                 representatives: counters.representatives as usize,
                 bytes_up: outcome.per_site_bytes_up[site],
-                local: outcome.timings.local[site],
+                local: outcome.timings.local[site].total(),
                 relabel: outcome.timings.relabel[site],
                 counters,
             }

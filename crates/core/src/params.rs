@@ -1,5 +1,6 @@
 //! DBDC configuration.
 
+use dbdc_cluster::Execution;
 use dbdc_index::{IndexKind, Precision};
 
 /// Which local model the client sites build (Section 5).
@@ -134,6 +135,18 @@ impl DbdcParams {
     pub fn with_eps_global(mut self, eps_global: EpsGlobal) -> Self {
         self.eps_global = eps_global;
         self
+    }
+
+    /// How each local DBSCAN run executes: [`DbdcParams::index`],
+    /// [`DbdcParams::threads`], [`DbdcParams::partitions`] and
+    /// [`DbdcParams::precision`].
+    pub fn execution(&self) -> Execution {
+        Execution {
+            index: self.index,
+            threads: self.threads,
+            partitions: self.partitions,
+            precision: self.precision,
+        }
     }
 
     /// Selects the index backend (builder style).

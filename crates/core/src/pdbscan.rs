@@ -8,26 +8,20 @@
 //! to a single DBSCAN run. DBDC instead never centralizes the data and
 //! accepts an approximate result in exchange for transmitting only models.
 //!
-//! This module implements the algorithmic core of that comparator so the
-//! `abl-pdbscan` ablation can quantify the trade-off:
-//!
-//! * the data is partitioned into spatial stripes (standing in for the
-//!   dR\*-tree's space partitioning);
-//! * every worker receives its stripe **plus a halo** of foreign points
-//!   within `eps` of its boundary (the replicated outer region the
-//!   message-passing scheme effectively gives each processor access to);
-//! * workers run DBSCAN locally; core points in the halo overlap induce
-//!   merge edges between worker-local clusters;
-//! * a union-find pass produces the exact global clustering.
-//!
-//! Exactness (equality with central DBSCAN on the core-point partition) is
-//! asserted by the tests; the ablation reports its runtime and the bytes a
-//! real deployment would move (halo replication + merge edges), which is
-//! where DBDC wins.
+//! This module simulates that comparator on the workspace's partitioned
+//! DBSCAN engine ([`mod@dbdc_cluster::partitioned`]) so the `abl-pdbscan`
+//! ablation can quantify the trade-off: every worker owns one spatial
+//! stripe (standing in for the dR\*-tree's space partitioning) and sees
+//! a halo of foreign points within `eps` of it (the replicated outer
+//! region the message-passing scheme effectively gives each processor),
+//! and a union-find merge across stripes yields the exact global
+//! clustering. What this module adds is the cost a real deployment
+//! would pay: the worker and merge walls, and the bytes it would move
+//! (halo replication + merge edges), which is where DBDC wins.
 
 use crate::params::DbdcParams;
-use dbdc_cluster::{dbscan, DbscanParams};
-use dbdc_geom::{Clustering, Dataset, Euclidean, Label};
+use dbdc_cluster::{partitioned_dbscan, DbscanParams};
+use dbdc_geom::{Clustering, Dataset};
 use std::time::{Duration, Instant};
 
 /// The result of a PDBSCAN run.
@@ -37,7 +31,8 @@ pub struct PdbscanOutcome {
     pub clustering: Clustering,
     /// Wall time of each worker's local phase.
     pub worker_times: Vec<Duration>,
-    /// Wall time of the merge phase.
+    /// Wall time outside the workers: striping the data, then merging
+    /// the workers' clusters.
     pub merge_time: Duration,
     /// Number of points replicated into halos (the scheme's communication
     /// overhead, in points).
@@ -59,190 +54,33 @@ impl PdbscanOutcome {
     }
 }
 
-/// Runs the PDBSCAN simulation over `workers` spatial stripes.
+/// Runs the PDBSCAN simulation over `workers` spatial stripes. The
+/// workers run one after another, so each worker's wall time is its own.
 ///
 /// # Panics
 /// Panics if `workers == 0`.
 pub fn run_pdbscan(data: &Dataset, params: &DbdcParams, workers: usize) -> PdbscanOutcome {
     assert!(workers > 0, "need at least one worker");
-    let n = data.len();
-    let eps = params.eps_local;
-    let dbscan_params = DbscanParams::new(eps, params.min_pts_local);
-    if n == 0 {
-        return PdbscanOutcome {
-            clustering: Clustering::all_noise(0),
-            worker_times: vec![Duration::ZERO; workers],
-            merge_time: Duration::ZERO,
-            halo_points: 0,
-            bytes_moved: 0,
-        };
-    }
-
-    // --- Partition into stripes along the widest-spread axis with eps
-    // halos. Striping a degenerate axis (data extended along another
-    // dimension) would replicate nearly the whole dataset into every
-    // halo.
-    let bbox = data.bounding_rect().expect("non-empty dataset");
-    let axis = (0..data.dim())
-        .max_by(|&a, &b| {
-            let wa = bbox.hi()[a] - bbox.lo()[a];
-            let wb = bbox.hi()[b] - bbox.lo()[b];
-            wa.total_cmp(&wb)
-        })
-        .expect("dataset has at least 1 dimension");
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| data.point(a)[axis].total_cmp(&data.point(b)[axis]));
-    let per = n.div_ceil(workers);
-    // Stripe boundaries in coordinate space.
-    let mut owners = vec![0usize; n];
-    let mut bounds = Vec::with_capacity(workers + 1); // [lo_0, lo_1, ..., hi_last]
-    bounds.push(f64::NEG_INFINITY);
-    for w in 1..workers {
-        let split_at = (w * per).min(n - 1);
-        bounds.push(data.point(order[split_at])[axis]);
-    }
-    bounds.push(f64::INFINITY);
-    for (pos, &idx) in order.iter().enumerate() {
-        owners[idx as usize] = (pos / per.max(1)).min(workers - 1);
-    }
-
-    // Worker datasets: owned points + halo (foreign points within eps of the
-    // stripe's coordinate range).
-    let mut worker_ids: Vec<Vec<u32>> = vec![Vec::new(); workers];
-    let mut is_halo: Vec<Vec<bool>> = vec![Vec::new(); workers];
-    let mut halo_points = 0usize;
-    for i in 0..n as u32 {
-        let x = data.point(i)[axis];
-        let own = owners[i as usize];
-        for (w, (ids, halo)) in worker_ids.iter_mut().zip(is_halo.iter_mut()).enumerate() {
-            if w == own {
-                ids.push(i);
-                halo.push(false);
-            } else if x >= bounds[w] - eps && x <= bounds[w + 1] + eps {
-                ids.push(i);
-                halo.push(true);
-                halo_points += 1;
-            }
-        }
-    }
-
-    // --- Local DBSCAN per worker. ---
-    struct WorkerOut {
-        ids: Vec<u32>,
-        halo: Vec<bool>,
-        clustering: Clustering,
-        core: Vec<bool>,
-    }
-    let mut outs = Vec::with_capacity(workers);
-    let mut worker_times = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let t0 = Instant::now();
-        let local_data = data.subset(&worker_ids[w]);
-        let index = dbdc_index::build_index(params.index, &local_data, Euclidean, eps);
-        let result = dbscan(&local_data, index.as_ref(), &dbscan_params);
-        worker_times.push(t0.elapsed());
-        outs.push(WorkerOut {
-            ids: std::mem::take(&mut worker_ids[w]),
-            halo: std::mem::take(&mut is_halo[w]),
-            clustering: result.clustering,
-            core: result.core,
-        });
-    }
-
-    // --- Merge phase. ---
-    // Global core property: a point owned by worker w has its full
-    // ε-neighborhood inside w's stripe+halo, so w's core flag is globally
-    // correct for owned points. Worker-local cluster ids become union-find
-    // nodes; two local clusters merge when a *core* point (owned by either
-    // side) carries both.
-    let t1 = Instant::now();
-    // Per-point: (worker, local label, local core) for the owning worker.
-    let mut owned_label: Vec<Label> = vec![Label::Noise; n];
-    let mut owned_core: Vec<bool> = vec![false; n];
-    // Offsets per worker into the union-find space.
-    let mut offsets = Vec::with_capacity(workers);
-    let mut total_clusters = 0usize;
-    for o in &outs {
-        offsets.push(total_clusters);
-        total_clusters += o.clustering.n_clusters() as usize;
-    }
-    let mut dsu: Vec<usize> = (0..total_clusters).collect();
-    fn find(dsu: &mut [usize], mut x: usize) -> usize {
-        while dsu[x] != x {
-            dsu[x] = dsu[dsu[x]];
-            x = dsu[x];
-        }
-        x
-    }
-    let mut merge_edges = 0usize;
-    for (w, o) in outs.iter().enumerate() {
-        for (pos, &gid) in o.ids.iter().enumerate() {
-            let label = o.clustering.label(pos as u32);
-            if !o.halo[pos] {
-                owned_label[gid as usize] = match label {
-                    Label::Noise => Label::Noise,
-                    Label::Cluster(c) => Label::Cluster((offsets[w] + c as usize) as u32),
-                };
-                owned_core[gid as usize] = o.core[pos];
-            }
-        }
-    }
-    // Merge via halo points that are core somewhere: a core point's cluster
-    // is the same everywhere it appears, so link the owner's cluster with
-    // the halo copy's cluster.
-    for (w, o) in outs.iter().enumerate() {
-        for (pos, &gid) in o.ids.iter().enumerate() {
-            if !o.halo[pos] {
-                continue;
-            }
-            // The copy is in w's halo; the owner is elsewhere.
-            let owner_label = owned_label[gid as usize];
-            let copy_label = o.clustering.label(pos as u32);
-            // Only core points (globally, i.e. per their owner) propagate
-            // cluster identity.
-            if !owned_core[gid as usize] {
-                continue;
-            }
-            if let (Label::Cluster(a), Label::Cluster(b)) = (owner_label, copy_label) {
-                let a = a as usize;
-                let b = offsets[w] + b as usize;
-                let (ra, rb) = (find(&mut dsu, a), find(&mut dsu, b));
-                if ra != rb {
-                    dsu[ra] = rb;
-                    merge_edges += 1;
-                }
-            }
-        }
-    }
-    // Resolve final labels for owned points. Border points may sit in a
-    // halo-side cluster while their owner called them noise (their core
-    // neighbor lives across the boundary); adopt the halo assignment then.
-    let mut labels = vec![Label::Noise; n];
-    for i in 0..n {
-        if let Label::Cluster(c) = owned_label[i] {
-            labels[i] = Label::Cluster(find(&mut dsu, c as usize) as u32);
-        }
-    }
-    for (w, o) in outs.iter().enumerate() {
-        for (pos, &gid) in o.ids.iter().enumerate() {
-            if !o.halo[pos] || !labels[gid as usize].is_noise() {
-                continue;
-            }
-            if let Label::Cluster(b) = o.clustering.label(pos as u32) {
-                let b = offsets[w] + b as usize;
-                labels[gid as usize] = Label::Cluster(find(&mut dsu, b) as u32);
-            }
-        }
-    }
-    let merge_time = t1.elapsed();
-
-    let bytes_moved = halo_points * data.dim() * 8 + merge_edges * 8;
+    let dbscan_params = DbscanParams::new(params.eps_local, params.min_pts_local);
+    let t0 = Instant::now();
+    let (result, stats) = partitioned_dbscan(
+        data,
+        params.index,
+        &dbscan_params,
+        workers,
+        1,
+        params.precision,
+    );
+    let merge_time = t0
+        .elapsed()
+        .saturating_sub(stats.partition_times.iter().sum());
+    let halo_points = stats.halo_points as usize;
     PdbscanOutcome {
-        clustering: Clustering::from_labels(labels),
-        worker_times,
+        clustering: result.clustering,
+        worker_times: stats.partition_times,
         merge_time,
         halo_points,
-        bytes_moved,
+        bytes_moved: halo_points * data.dim() * 8 + stats.merge_edges as usize * 8,
     }
 }
 
@@ -251,29 +89,17 @@ mod tests {
     use super::*;
     use crate::runtime::central_dbscan;
     use dbdc_datagen::{dataset_c, scaled_a};
-    use dbdc_geom::adjusted_rand_index;
 
     fn params(eps: f64, min_pts: usize) -> DbdcParams {
         DbdcParams::new(eps, min_pts)
     }
 
-    /// PDBSCAN must be *exact*: same core-point partition as central DBSCAN.
+    /// PDBSCAN must be *exact*: the central DBSCAN clustering, label for
+    /// label.
     fn assert_exact(data: &Dataset, p: &DbdcParams, workers: usize) {
         let (central, _) = central_dbscan(data, p);
         let parallel = run_pdbscan(data, p, workers);
-        // Noise sets must agree exactly on core points; border points can
-        // flip between adjacent clusters, so compare with ARI ~ 1.
-        let ari = adjusted_rand_index(&parallel.clustering, &central.clustering);
-        assert!(
-            ari > 0.999,
-            "PDBSCAN diverges from central DBSCAN: ARI {ari} ({} vs {} clusters)",
-            parallel.clustering.n_clusters(),
-            central.clustering.n_clusters()
-        );
-        assert_eq!(
-            parallel.clustering.n_clusters(),
-            central.clustering.n_clusters()
-        );
+        assert_eq!(parallel.clustering, central.clustering, "workers={workers}");
     }
 
     #[test]

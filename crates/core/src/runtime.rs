@@ -2,8 +2,8 @@
 //!
 //! Section 3 of the paper: (1) local clustering, (2) determination of the
 //! local models, (3) determination of the global model, (4) relabeling of
-//! all local data. This module runs the whole protocol over a partitioned
-//! dataset, either sequentially (the paper's measurement setup — "we
+//! all local data. This module runs the whole protocol — the steps of
+//! [`crate::step`] — over a partitioned dataset, either sequentially (the paper's measurement setup — "we
 //! carried out all local clusterings sequentially ... the overall runtime
 //! was formed by adding the time needed for the global clustering to the
 //! maximum time needed for the local clusterings") or with one thread per
@@ -16,19 +16,12 @@
 //! Local models travel through the wire codec in both modes, so the byte
 //! counts reported in [`DbdcOutcome`] are exact message sizes.
 
-use crate::global_model::{build_global_model_observed, GlobalModel};
-use crate::local_model::{build_local_model, LocalModel};
+use crate::global_model::GlobalModel;
 use crate::params::DbdcParams;
 use crate::partition::Partitioner;
-use crate::relabel::relabel_site_observed;
-use crate::wire;
-use dbdc_cluster::{
-    dbscan, dbscan_with_scp, effective_partitions, effective_threads, par_dbscan_instrumented,
-    par_dbscan_with_scp, partitioned_dbscan_with_scp_observed, DbscanParams, DbscanResult,
-    ScpResult,
-};
-use dbdc_geom::{Clustering, Dataset, Euclidean, Label};
-use dbdc_index::BuildOptions;
+use crate::step::{local_phase, relabel_phase, server_phase, LocalPhase, LocalTimes};
+use dbdc_cluster::{effective_threads, DbscanParams, DbscanResult};
+use dbdc_geom::{Clustering, Dataset, Label};
 use dbdc_obs::{NoopRecorder, Recorder, Span};
 use std::time::{Duration, Instant};
 
@@ -48,34 +41,25 @@ pub struct PhaseThreads {
 /// Timings of all protocol phases.
 #[derive(Debug, Clone, Default)]
 pub struct Timings {
-    /// Wall time of each site's local clustering + model extraction.
-    pub local: Vec<Duration>,
+    /// Each site's local phase (clustering + model extraction +
+    /// encoding), by sub-phase.
+    pub local: Vec<LocalTimes>,
     /// Server-side global clustering (including model decode).
     pub global: Duration,
     /// Wall time of each site's relabeling.
     pub relabel: Vec<Duration>,
     /// Thread counts per phase.
     pub threads: PhaseThreads,
-    /// Per-site index-construction sub-phase, a breakdown of
-    /// [`Timings::local`]. Zero when the site ran partitioned (each
-    /// partition builds its own index inside [`Timings::partitions`]).
-    pub build: Vec<Duration>,
-    /// Per-site clustering sub-phase (DBSCAN over the built index,
-    /// excluding the index build), a breakdown of [`Timings::local`].
-    pub cluster: Vec<Duration>,
-    /// Per-site model-extraction sub-phase.
-    pub extract: Vec<Duration>,
-    /// Per-site wire-encoding sub-phase.
-    pub encode: Vec<Duration>,
-    /// Per-site, per-partition wall times of the partitioned local
-    /// phase (empty inner vectors when a site ran unpartitioned).
-    pub partitions: Vec<Vec<Duration>>,
 }
 
 impl Timings {
     /// The slowest local phase — the paper's distributed local cost.
     pub fn local_max(&self) -> Duration {
-        self.local.iter().copied().max().unwrap_or(Duration::ZERO)
+        self.local
+            .iter()
+            .map(LocalTimes::total)
+            .max()
+            .unwrap_or(Duration::ZERO)
     }
 
     /// The slowest relabel phase.
@@ -96,33 +80,12 @@ impl Timings {
 
     /// The timings as a [`Span`] tree: a `dbdc` root (walled at
     /// [`Timings::dbdc_total_with_relabel`]) with one `local[i]` child
-    /// per site — each broken into `build`/`cluster` (plus one
-    /// `partition[j]` per spatial partition when the site ran
-    /// partitioned) /`extract`/`encode` when the sub-phase vectors are
-    /// populated — then `global` and one `relabel[i]` per site.
+    /// per site ([`LocalTimes::to_span`]), then `global` and one
+    /// `relabel[i]` per site.
     pub fn to_span(&self) -> Span {
         let mut root = Span::new("dbdc", self.dbdc_total_with_relabel());
-        for (i, &t) in self.local.iter().enumerate() {
-            let mut local =
-                Span::new(format!("local[{i}]"), t).with_threads(self.threads.local.max(1));
-            if let (Some(&c), Some(&x), Some(&e)) =
-                (self.cluster.get(i), self.extract.get(i), self.encode.get(i))
-            {
-                local.push(Span::new(
-                    "build",
-                    self.build.get(i).copied().unwrap_or(Duration::ZERO),
-                ));
-                let mut cluster = Span::new("cluster", c);
-                if let Some(parts) = self.partitions.get(i) {
-                    for (j, &pt) in parts.iter().enumerate() {
-                        cluster.push(Span::new(format!("partition[{j}]"), pt));
-                    }
-                }
-                local.push(cluster);
-                local.push(Span::new("extract", x));
-                local.push(Span::new("encode", e));
-            }
-            root.push(local);
+        for (i, t) in self.local.iter().enumerate() {
+            root.push(t.to_span(i, self.threads.local.max(1)));
         }
         root.push(Span::new("global", self.global).with_threads(self.threads.global.max(1)));
         for (i, &t) in self.relabel.iter().enumerate() {
@@ -193,96 +156,6 @@ impl DbdcOutcome {
     }
 }
 
-/// Wall times of one site's local phase, total and by sub-phase.
-#[derive(Debug, Clone)]
-struct LocalTimes {
-    total: Duration,
-    build: Duration,
-    cluster: Duration,
-    extract: Duration,
-    encode: Duration,
-    /// Per-partition wall times; empty when the site ran unpartitioned.
-    partitions: Vec<Duration>,
-}
-
-/// One site's local phase: cluster, extract the model, encode it.
-/// Returns the encoded model bytes together with the site's clustering
-/// (which stays on the site for the relabel phase). Work counters land
-/// in the recorder's `local[site]` scope.
-///
-/// With [`DbdcParams::partitions`] resolving above 1 the site runs the
-/// partitioned execution path (stripes + ε-halos + one private index
-/// per partition); the labels are identical either way, and the halo
-/// replication volume lands in the site's `halo_points` counter.
-fn local_phase(
-    site: u32,
-    site_data: &Dataset,
-    params: &DbdcParams,
-    rec: &dyn Recorder,
-) -> (ScpResult, bytes::Bytes, LocalTimes) {
-    let sheet = rec.sheet(&format!("local[{site}]"));
-    let eps_hist = rec.hist(&format!("local[{site}]/eps_range_ns"));
-    let t0 = Instant::now();
-    let dbscan_params = DbscanParams::new(params.eps_local, params.min_pts_local);
-    let partitions = effective_partitions(params.partitions, params.threads);
-    let (scp, t_build, partition_times) = if partitions > 1 {
-        let (scp, stats) = partitioned_dbscan_with_scp_observed(
-            site_data,
-            params.index,
-            &dbscan_params,
-            partitions,
-            params.threads,
-            params.precision,
-            sheet.as_ref(),
-            eps_hist.as_ref(),
-        );
-        if let Some(s) = &sheet {
-            s.add_halo_points(stats.halo_points);
-        }
-        // Each partition builds its own index inside its timed span;
-        // there is no site-wide build to report separately.
-        (scp, Duration::ZERO, stats.partition_times)
-    } else {
-        let index = dbdc_index::build_index_opts(
-            params.index,
-            site_data,
-            Euclidean,
-            params.eps_local,
-            BuildOptions {
-                threads: effective_threads(params.threads),
-                precision: params.precision,
-            },
-            sheet.as_ref(),
-            eps_hist.as_ref(),
-        );
-        let t_build = t0.elapsed();
-        let scp = if params.threads == 1 {
-            dbscan_with_scp(site_data, index.as_ref(), &dbscan_params)
-        } else {
-            par_dbscan_with_scp(site_data, index.as_ref(), &dbscan_params, params.threads)
-        };
-        (scp, t_build, Vec::new())
-    };
-    let t_cluster = t0.elapsed();
-    let model: LocalModel = build_local_model(params.model, site_data, &scp, site);
-    let t_extract = t0.elapsed();
-    let encoded = wire::encode_local_model(&model).expect("local model fits the wire format");
-    let t_encode = t0.elapsed();
-    if let Some(s) = &sheet {
-        s.add_representatives(model.len() as u64);
-        s.add_bytes_sent(encoded.len() as u64);
-    }
-    let times = LocalTimes {
-        total: t_encode,
-        build: t_build,
-        cluster: t_cluster - t_build,
-        extract: t_extract - t_cluster,
-        encode: t_encode - t_extract,
-        partitions: partition_times,
-    };
-    (scp, encoded, times)
-}
-
 /// Runs the full DBDC protocol sequentially (the paper's measurement mode).
 pub fn run_dbdc(
     data: &Dataset,
@@ -303,14 +176,7 @@ pub fn run_dbdc_recorded(
     n_sites: usize,
     rec: &dyn Recorder,
 ) -> DbdcOutcome {
-    let assignment = partitioner.assign(data, n_sites);
-    let (parts, back) = data.partition(n_sites, &assignment);
-    let locals: Vec<(ScpResult, bytes::Bytes, LocalTimes)> = parts
-        .iter()
-        .enumerate()
-        .map(|(site, part)| local_phase(site as u32, part, params, rec))
-        .collect();
-    assemble(data, params, parts, back, locals, false, rec)
+    run(data, params, partitioner, n_sites, false, rec)
 }
 
 /// Runs the full DBDC protocol with one OS thread per site, each spawning
@@ -336,95 +202,78 @@ pub fn run_dbdc_threaded_recorded(
     n_sites: usize,
     rec: &dyn Recorder,
 ) -> DbdcOutcome {
-    let assignment = partitioner.assign(data, n_sites);
-    let (parts, back) = data.partition(n_sites, &assignment);
-    let locals: Vec<(ScpResult, bytes::Bytes, LocalTimes)> = std::thread::scope(|scope| {
+    run(data, params, partitioner, n_sites, true, rec)
+}
+
+/// Runs `f` for every site: in site order, or on one OS thread per site.
+fn per_site<T: Send>(
+    parts: &[Dataset],
+    threaded: bool,
+    f: impl Fn(usize, &Dataset) -> T + Sync,
+) -> Vec<T> {
+    if !threaded {
+        return parts
+            .iter()
+            .enumerate()
+            .map(|(i, part)| f(i, part))
+            .collect();
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
         let handles: Vec<_> = parts
             .iter()
             .enumerate()
-            .map(|(site, part)| scope.spawn(move || local_phase(site as u32, part, params, rec)))
+            .map(|(i, part)| scope.spawn(move || f(i, part)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("site thread panicked"))
             .collect()
-    });
-    assemble(data, params, parts, back, locals, true, rec)
+    })
 }
 
-/// Server + relabel phases shared by both modes.
-fn assemble(
+/// The protocol over `n_sites` shards, sites run by [`per_site`].
+fn run(
     data: &Dataset,
     params: &DbdcParams,
-    parts: Vec<Dataset>,
-    back: Vec<Vec<u32>>,
-    locals: Vec<(ScpResult, bytes::Bytes, LocalTimes)>,
+    partitioner: Partitioner,
+    n_sites: usize,
     threaded: bool,
     rec: &dyn Recorder,
 ) -> DbdcOutcome {
+    let assignment = partitioner.assign(data, n_sites);
+    let (parts, back) = data.partition(n_sites, &assignment);
+    let locals: Vec<LocalPhase> = per_site(&parts, threaded, |site, part| {
+        local_phase(site as u32, part, params, rec)
+    });
+
     // --- Server: decode the models, cluster the representatives. ---
     let global_sheet = rec.sheet("global");
     let t_global = Instant::now();
-    let per_site_bytes_up: Vec<usize> = locals.iter().map(|(_, b, _)| b.len()).collect();
-    let bytes_up: usize = per_site_bytes_up.iter().sum();
-    let models: Vec<LocalModel> = locals
-        .iter()
-        .map(|(_, b, _)| wire::decode_local_model(b).expect("self-encoded model decodes"))
-        .collect();
-    let n_representatives: usize = models.iter().map(|m| m.len()).sum();
-    let global = build_global_model_observed(&models, params, global_sheet.as_ref());
-    let encoded_global =
-        wire::encode_global_model(&global).expect("global model fits the wire format");
+    let uploads: Vec<&[u8]> = locals.iter().map(|l| l.encoded.as_ref()).collect();
+    let server =
+        server_phase(&uploads, params, global_sheet.as_ref()).expect("self-encoded models decode");
     let global_time = t_global.elapsed();
-    let global_model_bytes = encoded_global.len();
+    let per_site_bytes_up: Vec<usize> = uploads.iter().map(|u| u.len()).collect();
+    let bytes_up: usize = per_site_bytes_up.iter().sum();
+    let n_representatives: usize = server.models.iter().map(|m| m.len()).sum();
+    let global_model_bytes = server.encoded.len();
     let bytes_down = global_model_bytes * parts.len();
     if let Some(s) = &global_sheet {
         s.add_bytes_received(bytes_up as u64);
         s.add_bytes_sent(bytes_down as u64);
-        s.add_representatives(n_representatives as u64);
     }
 
-    // --- Clients: relabel (sequentially or one thread per site). ---
-    let n_sites = parts.len();
-    let relabel_one = |site: usize, part: &Dataset| -> (Clustering, Duration) {
-        let sheet = rec.sheet(&format!("relabel[{site}]"));
+    // --- Clients: each decodes the broadcast copy and relabels. ---
+    let relabeled = per_site(&parts, threaded, |site, part| {
         let t0 = Instant::now();
-        // Each site decodes the broadcast copy.
-        let g = wire::decode_global_model(&encoded_global).expect("self-encoded model decodes");
-        debug_assert_eq!(g.n_clusters, global.n_clusters);
-        if let Some(s) = &sheet {
-            s.add_bytes_received(global_model_bytes as u64);
-        }
-        let labels =
-            relabel_site_observed(part, &locals[site].0.dbscan.clustering, &g, sheet.as_ref());
+        let local = &locals[site].scp.dbscan.clustering;
+        let (_, labels) = relabel_phase(site as u32, part, local, &server.encoded, rec)
+            .expect("self-encoded model decodes");
         (labels, t0.elapsed())
-    };
-    let relabeled: Vec<(Clustering, Duration)> = if threaded {
-        std::thread::scope(|scope| {
-            let relabel_one = &relabel_one;
-            let handles: Vec<_> = parts
-                .iter()
-                .enumerate()
-                .map(|(site, part)| scope.spawn(move || relabel_one(site, part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("relabel thread panicked"))
-                .collect()
-        })
-    } else {
-        parts
-            .iter()
-            .enumerate()
-            .map(|(site, part)| relabel_one(site, part))
-            .collect()
-    };
-    let mut site_labels: Vec<Clustering> = Vec::with_capacity(n_sites);
-    let mut relabel_times: Vec<Duration> = Vec::with_capacity(n_sites);
-    for (labels, t) in relabeled {
-        site_labels.push(labels);
-        relabel_times.push(t);
-    }
+    });
+    let (site_labels, relabel_times): (Vec<Clustering>, Vec<Duration>) =
+        relabeled.into_iter().unzip();
 
     // --- Reassemble the full clustering in original order. ---
     let mut full = vec![Label::Noise; data.len()];
@@ -438,7 +287,7 @@ fn assemble(
     let workers = effective_threads(params.threads);
     let sites_in_flight = if threaded { n_sites.max(1) } else { 1 };
     let timings = Timings {
-        local: locals.iter().map(|(_, _, t)| t.total).collect(),
+        local: locals.into_iter().map(|l| l.times).collect(),
         global: global_time,
         relabel: relabel_times,
         threads: PhaseThreads {
@@ -446,14 +295,6 @@ fn assemble(
             global: 1,
             relabel: sites_in_flight,
         },
-        build: locals.iter().map(|(_, _, t)| t.build).collect(),
-        cluster: locals.iter().map(|(_, _, t)| t.cluster).collect(),
-        extract: locals.iter().map(|(_, _, t)| t.extract).collect(),
-        encode: locals.iter().map(|(_, _, t)| t.encode).collect(),
-        partitions: locals
-            .iter()
-            .map(|(_, _, t)| t.partitions.clone())
-            .collect(),
     };
     if rec.is_enabled() {
         // Phase walls as distributions *across sites*: with many sites
@@ -461,7 +302,7 @@ fn assemble(
         // model charges for.
         if let Some(h) = rec.hist("phase/local_ns") {
             for t in &timings.local {
-                h.record_duration(*t);
+                h.record_duration(t.total());
             }
         }
         if let Some(h) = rec.hist("phase/relabel_ns") {
@@ -478,7 +319,7 @@ fn assemble(
         n_sites,
         assignment,
         timings,
-        global,
+        global: server.global,
         bytes_up,
         bytes_down,
         per_site_bytes_up,
@@ -497,40 +338,17 @@ pub fn central_dbscan(data: &Dataset, params: &DbdcParams) -> (DbscanResult, Dur
 }
 
 /// [`central_dbscan`] reporting into `rec` under the `central` counter
-/// scope, with a single `central` span.
+/// scope, with a single `central` span. The run is never partitioned.
 pub fn central_dbscan_recorded(
     data: &Dataset,
     params: &DbdcParams,
     rec: &dyn Recorder,
 ) -> (DbscanResult, Duration) {
-    let sheet = rec.sheet("central");
-    let eps_hist = rec.hist("central/eps_range_ns");
     let t0 = Instant::now();
+    let mut exec = params.execution();
+    exec.partitions = 1;
     let dbscan_params = DbscanParams::new(params.eps_local, params.min_pts_local);
-    let index = dbdc_index::build_index_opts(
-        params.index,
-        data,
-        Euclidean,
-        params.eps_local,
-        BuildOptions {
-            threads: effective_threads(params.threads),
-            precision: params.precision,
-        },
-        sheet.as_ref(),
-        eps_hist.as_ref(),
-    );
-    let result = if params.threads == 1 {
-        dbscan(data, index.as_ref(), &dbscan_params)
-    } else {
-        par_dbscan_instrumented(
-            data,
-            index.as_ref(),
-            &dbscan_params,
-            params.threads,
-            sheet.as_deref(),
-            rec.hist("central/dsu_batch_ops").as_deref(),
-        )
-    };
+    let (result, _) = exec.dbscan(data, &dbscan_params, rec, "central");
     let elapsed = t0.elapsed();
     if rec.is_enabled() {
         rec.record_span(
@@ -638,7 +456,7 @@ mod tests {
         let g = dataset_c(4);
         let p = params();
         let outcome = run_dbdc(&g.data, &p, Partitioner::RandomEqual { seed: 1 }, 4);
-        let raw = wire::raw_data_bytes(g.data.len(), 2);
+        let raw = crate::wire::raw_data_bytes(g.data.len(), 2);
         assert!(
             outcome.bytes_up * 2 < raw,
             "model bytes {} vs raw {}",

@@ -207,60 +207,17 @@ pub fn build_index<'a, M: Metric + Clone + 'a>(
     m: M,
     eps_hint: f64,
 ) -> Box<dyn NeighborIndex + 'a> {
-    match kind {
-        IndexKind::Linear => Box::new(LinearScan::new(data, m)),
-        IndexKind::Grid => Box::new(GridIndex::new(data, m, eps_hint)),
-        IndexKind::KdTree => Box::new(KdTree::new(data, m)),
-        IndexKind::RStar => Box::new(RStarTree::bulk_load(data, m)),
-    }
+    build_index_opts(kind, data, m, eps_hint, BuildOptions::default(), None, None)
 }
 
-/// Like [`build_index`], but optionally attaches a
-/// [`dbdc_obs::CounterSheet`] so every query records its ε-range /
-/// knn count, distance evaluations, and index-node visits. With
-/// `sheet: None` this is exactly [`build_index`] — the uninstrumented
-/// hot path performs no atomic operations.
-pub fn build_index_observed<'a, M: Metric + Clone + 'a>(
-    kind: IndexKind,
-    data: &'a Dataset,
-    m: M,
-    eps_hint: f64,
-    sheet: Option<&std::sync::Arc<dbdc_obs::CounterSheet>>,
-) -> Box<dyn NeighborIndex + 'a> {
-    let Some(sheet) = sheet else {
-        return build_index(kind, data, m, eps_hint);
-    };
-    match kind {
-        IndexKind::Linear => Box::new(LinearScan::new(data, m).observed(sheet.clone())),
-        IndexKind::Grid => Box::new(GridIndex::new(data, m, eps_hint).observed(sheet.clone())),
-        IndexKind::KdTree => Box::new(KdTree::new(data, m).observed(sheet.clone())),
-        IndexKind::RStar => Box::new(RStarTree::bulk_load(data, m).observed(sheet.clone())),
-    }
-}
-
-/// Like [`build_index_observed`], but additionally wraps the index in a
-/// [`LatencyObserved`] layer when `hist` is given, so every query's
-/// wall time lands in the histogram. Both observation layers are
-/// independent: `(None, None)` is exactly [`build_index`].
-pub fn build_index_instrumented<'a, M: Metric + Clone + 'a>(
-    kind: IndexKind,
-    data: &'a Dataset,
-    m: M,
-    eps_hint: f64,
-    sheet: Option<&std::sync::Arc<dbdc_obs::CounterSheet>>,
-    hist: Option<&std::sync::Arc<dbdc_obs::HistSheet>>,
-) -> Box<dyn NeighborIndex + 'a> {
-    let index = build_index_observed(kind, data, m, eps_hint, sheet);
-    match hist {
-        Some(hist) => Box::new(LatencyObserved::new(index, hist.clone())),
-        None => index,
-    }
-}
-
-/// Like [`build_index_instrumented`], but with explicit
-/// [`BuildOptions`]: worker threads for parallel arena construction
-/// and the scan-path coordinate precision. With the default options
-/// this is exactly [`build_index_instrumented`].
+/// Like [`build_index`], with explicit [`BuildOptions`] (worker threads
+/// for parallel arena construction, scan-path coordinate precision) and
+/// optional observation: a [`dbdc_obs::CounterSheet`] makes every query
+/// record its ε-range / knn count, distance evaluations and index-node
+/// visits, and a [`dbdc_obs::HistSheet`] wraps the index in a
+/// [`LatencyObserved`] layer timing every query. Both layers are
+/// independent; with `(None, None)` the hot path performs no atomic
+/// operations.
 pub fn build_index_opts<'a, M: Metric + Clone + 'a>(
     kind: IndexKind,
     data: &'a Dataset,
@@ -455,7 +412,15 @@ mod observed_tests {
         let data = testutil::random_dataset(200, 99);
         for kind in IndexKind::ALL {
             let sheet = Arc::new(CounterSheet::new());
-            let idx = build_index_observed(kind, &data, Euclidean, 5.0, Some(&sheet));
+            let idx = build_index_opts(
+                kind,
+                &data,
+                Euclidean,
+                5.0,
+                BuildOptions::default(),
+                Some(&sheet),
+                None,
+            );
             let mut out = Vec::new();
             for i in (0..data.len()).step_by(10) {
                 idx.range(data.point(i as u32), 5.0, &mut out);
@@ -481,9 +446,25 @@ mod observed_tests {
     fn unobserved_build_records_nothing_and_answers_identically() {
         let data = testutil::random_dataset(150, 7);
         for kind in IndexKind::ALL {
-            let plain = build_index_observed(kind, &data, Euclidean, 3.0, None);
+            let plain = build_index_opts(
+                kind,
+                &data,
+                Euclidean,
+                3.0,
+                BuildOptions::default(),
+                None,
+                None,
+            );
             let sheet = Arc::new(CounterSheet::new());
-            let observed = build_index_observed(kind, &data, Euclidean, 3.0, Some(&sheet));
+            let observed = build_index_opts(
+                kind,
+                &data,
+                Euclidean,
+                3.0,
+                BuildOptions::default(),
+                Some(&sheet),
+                None,
+            );
             let q = data.point(3);
             let mut a = plain.range_vec(q, 3.0);
             let mut b = observed.range_vec(q, 3.0);

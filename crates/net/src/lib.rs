@@ -6,8 +6,11 @@
 //! std-only (no async runtime): a [`serve`]r accepting one connection
 //! per site, and a [`run_site`] client that clusters its partition,
 //! uploads its local model, and relabels against the broadcast global
-//! model. Labels are identical to the in-process runtime on the same
-//! partitions — asserted by the loopback tests.
+//! model. Both ends call the runtime's own protocol steps
+//! ([`dbdc::step`]) and only add the transport, so labels, models and
+//! message bytes are identical to the in-process runtime on the same
+//! partitions under every local-phase setting — asserted by the
+//! loopback tests.
 //!
 //! Layering, bottom up:
 //!

@@ -26,7 +26,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dbdc::wire;
-use dbdc::{build_global_model_observed, DbdcParams, GlobalModel, LocalModel};
+use dbdc::{server_phase, DbdcParams, GlobalModel, LocalModel, ServerPhase};
 use dbdc_obs::Recorder;
 
 use crate::error::NetError;
@@ -114,9 +114,9 @@ pub struct ServerOutcome {
 }
 
 struct ServerState {
-    models: Vec<Option<LocalModel>>,
-    bytes_up: Vec<Option<usize>>,
-    global: Option<(GlobalModel, Vec<u8>)>,
+    /// Each site's first valid upload, as received.
+    uploads: Vec<Option<Vec<u8>>>,
+    global: Option<ServerPhase>,
     acked: Vec<bool>,
     active_conns: usize,
     last_activity: Instant,
@@ -128,7 +128,7 @@ struct ServerState {
 
 impl ServerState {
     fn all_models_in(&self) -> bool {
-        self.models.iter().all(|m| m.is_some())
+        self.uploads.iter().all(|m| m.is_some())
     }
 
     fn all_acked(&self) -> bool {
@@ -163,8 +163,7 @@ pub fn serve(
     listener.set_nonblocking(true)?;
     let shared = Arc::new(Shared {
         state: Mutex::new(ServerState {
-            models: vec![None; opts.n_sites],
-            bytes_up: vec![None; opts.n_sites],
+            uploads: vec![None; opts.n_sites],
             global: None,
             acked: vec![false; opts.n_sites],
             active_conns: 0,
@@ -240,18 +239,14 @@ pub fn serve(
     }
     outcome?;
 
-    let st = shared.state.lock().expect("server state poisoned");
-    let models: Vec<LocalModel> = st
-        .models
-        .iter()
-        .map(|m| m.clone().expect("all in"))
-        .collect();
-    let (global, encoded) = st.global.clone().expect("global built");
-    let n_representatives = models.iter().map(|m| m.len()).sum();
-    let per_site_bytes_up: Vec<usize> = st.bytes_up.iter().map(|b| b.expect("all in")).collect();
-    if let Some(s) = &sheet {
-        s.add_representatives(n_representatives as u64);
-    }
+    let mut st = shared.state.lock().expect("server state poisoned");
+    let per_site_bytes_up: Vec<usize> = st.uploads.iter().flatten().map(Vec::len).collect();
+    let ServerPhase {
+        models,
+        global,
+        encoded,
+    } = st.global.take().expect("global built");
+    let n_representatives = models.iter().map(LocalModel::len).sum();
     let global_ready = st.upload_wall + st.global_wall;
     let broadcast_wall = st
         .all_acked_at
@@ -327,31 +322,23 @@ fn handle_connection(
     }
     // Decode before acking: a corrupt payload must read as "not
     // delivered" so the site retries.
-    let model = wire::decode_local_model(&frame.payload)?;
+    wire::decode_local_model(&frame.payload)?;
     {
         let mut st = shared.state.lock().expect("server state poisoned");
-        if st.models[site].is_none() {
+        if st.uploads[site].is_none() {
             if let Some(s) = sheet {
                 s.add_bytes_received(frame.payload.len() as u64);
             }
-            st.models[site] = Some(model);
-            st.bytes_up[site] = Some(frame.payload.len());
+            st.uploads[site] = Some(frame.payload);
             if st.all_models_in() && st.global.is_none() {
                 // Exactly-once global build, on the thread that
                 // delivered the last model.
                 st.upload_wall = shared.started.elapsed();
                 let t0 = Instant::now();
-                let models: Vec<LocalModel> = st
-                    .models
-                    .iter()
-                    .map(|m| m.clone().expect("all in"))
-                    .collect();
-                let global = build_global_model_observed(&models, &opts.params, sheet);
-                let encoded = wire::encode_global_model(&global)
-                    .expect("global model fits the wire format")
-                    .to_vec();
+                let uploads: Vec<&[u8]> = st.uploads.iter().flatten().map(Vec::as_slice).collect();
+                let phase = server_phase(&uploads, &opts.params, sheet).expect("uploads decoded");
                 st.global_wall = t0.elapsed();
-                st.global = Some((global, encoded));
+                st.global = Some(phase);
                 shared.ready.notify_all();
             }
         }
@@ -364,8 +351,8 @@ fn handle_connection(
     let encoded_global = {
         let mut st = shared.state.lock().expect("server state poisoned");
         loop {
-            if let Some((_, encoded)) = &st.global {
-                break encoded.clone();
+            if let Some(phase) = &st.global {
+                break phase.encoded.to_vec();
             }
             if shared.stop.load(Ordering::Relaxed) || shared.started.elapsed() > opts.deadline {
                 return Err(NetError::Deadline);

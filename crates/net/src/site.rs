@@ -1,11 +1,12 @@
 //! A DBDC client site over real TCP.
 //!
 //! [`run_site`] runs the full client half of the protocol against a
-//! server address: local clustering, model extraction and wire
-//! encoding (identical to the in-process runtime — same index, same
-//! DBSCAN driver, same encoder, so the bytes on the wire are exactly
+//! server address: the local phase ([`dbdc::local_phase`] — local
+//! clustering, model extraction and wire encoding, the very function
+//! the in-process runtime calls, so the bytes on the wire are exactly
 //! the in-process message sizes), then the network session, then the
-//! relabel phase against the received global model.
+//! relabel phase ([`dbdc::relabel_phase`]) against the received global
+//! model.
 //!
 //! The network session is retried as a whole under the site's
 //! [`RetryPolicy`]: the local phase is deterministic and the encoded
@@ -17,9 +18,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use dbdc::wire;
-use dbdc::{build_local_model, DbdcParams, GlobalModel};
-use dbdc_cluster::{dbscan_with_scp, par_dbscan_with_scp, DbscanParams, ScpResult};
-use dbdc_geom::{Clustering, Dataset, Euclidean};
+use dbdc::{local_phase, relabel_phase, DbdcParams, GlobalModel, LocalTimes};
+use dbdc_geom::{Clustering, Dataset};
 use dbdc_obs::Recorder;
 
 use crate::error::NetError;
@@ -78,6 +78,8 @@ pub struct SiteOutcome {
     pub attempts: u32,
     /// Measured wall time of the local phase (cluster+extract+encode).
     pub local_wall: Duration,
+    /// The local phase by sub-phase.
+    pub local_times: LocalTimes,
     /// Measured wall time of the network session, connect through
     /// GOODBYE, across all attempts including backoff.
     pub session_wall: Duration,
@@ -115,74 +117,36 @@ pub fn run_site(
     opts: &SiteOptions,
     rec: &dyn Recorder,
 ) -> Result<SiteOutcome, NetError> {
-    // --- Local phase: identical to the in-process runtime. ---
+    // --- Local phase: the in-process runtime's own. ---
     let t0 = Instant::now();
-    let (scp, encoded) = local_phase(site_data, opts, rec);
+    let local = local_phase(opts.site, site_data, &opts.params, rec);
     let local_wall = t0.elapsed();
 
     // --- Network session, retried as a whole. ---
     let metrics = WireMetrics::new(rec, &format!("net/site[{}]", opts.site));
     let t1 = Instant::now();
-    let (encoded_global, attempts, session_phases) = run_session(addr, &encoded, opts, &metrics)?;
+    let (encoded_global, attempts, session_phases) =
+        run_session(addr, &local.encoded, opts, &metrics)?;
     let session_wall = t1.elapsed();
 
     // --- Relabel against the broadcast model. ---
     let t2 = Instant::now();
-    let sheet = rec.sheet(&format!("relabel[{}]", opts.site));
-    let global = wire::decode_global_model(&encoded_global)?;
-    if let Some(s) = &sheet {
-        s.add_bytes_received(encoded_global.len() as u64);
-    }
-    let labels =
-        dbdc::relabel_site_observed(site_data, &scp.dbscan.clustering, &global, sheet.as_ref());
+    let clustering = &local.scp.dbscan.clustering;
+    let (global, labels) = relabel_phase(opts.site, site_data, clustering, &encoded_global, rec)?;
     let relabel_wall = t2.elapsed();
 
     Ok(SiteOutcome {
         labels,
-        bytes_up: encoded.len(),
+        bytes_up: local.encoded.len(),
         bytes_down: encoded_global.len(),
         attempts,
         local_wall,
+        local_times: local.times,
         session_wall,
         relabel_wall,
         session_phases,
         global,
     })
-}
-
-/// Cluster, extract the local model, encode it — the same sequence, on
-/// the same public APIs, as the in-process runtime's local phase, so a
-/// networked run is byte- and label-identical to `run_dbdc` on the same
-/// partition.
-fn local_phase(
-    site_data: &Dataset,
-    opts: &SiteOptions,
-    rec: &dyn Recorder,
-) -> (ScpResult, bytes::Bytes) {
-    let params = &opts.params;
-    let sheet = rec.sheet(&format!("local[{}]", opts.site));
-    let eps_hist = rec.hist(&format!("local[{}]/eps_range_ns", opts.site));
-    let dbscan_params = DbscanParams::new(params.eps_local, params.min_pts_local);
-    let index = dbdc_index::build_index_instrumented(
-        params.index,
-        site_data,
-        Euclidean,
-        params.eps_local,
-        sheet.as_ref(),
-        eps_hist.as_ref(),
-    );
-    let scp = if params.threads == 1 {
-        dbscan_with_scp(site_data, index.as_ref(), &dbscan_params)
-    } else {
-        par_dbscan_with_scp(site_data, index.as_ref(), &dbscan_params, params.threads)
-    };
-    let model = build_local_model(params.model, site_data, &scp, opts.site);
-    let encoded = wire::encode_local_model(&model).expect("local model fits the wire format");
-    if let Some(s) = &sheet {
-        s.add_representatives(model.len() as u64);
-        s.add_bytes_sent(encoded.len() as u64);
-    }
-    (scp, encoded)
 }
 
 /// The session with retries: returns the received global model's wire

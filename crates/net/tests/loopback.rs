@@ -8,6 +8,7 @@ use std::time::Duration;
 use dbdc::{run_dbdc, DbdcOutcome, DbdcParams, EpsGlobal, Partitioner};
 use dbdc_datagen::dataset_c;
 use dbdc_geom::{Clustering, Dataset, Label};
+use dbdc_index::Precision;
 use dbdc_net::{
     run_site, serve, FaultPlan, FaultProxy, NetError, RetryPolicy, ServeOptions, ServerOutcome,
     SiteOptions, SiteOutcome,
@@ -89,43 +90,55 @@ fn expected(data: &Dataset) -> DbdcOutcome {
 #[test]
 fn clean_loopback_matches_in_process_runtime() {
     let g = dataset_c(31);
-    let reference = expected(&g.data);
     let (_, back) = split(&g.data);
 
-    let mut serve_opts = ServeOptions::new(N_SITES, params());
-    serve_opts.drain_window = Duration::from_millis(150);
-    let (server, sites, _) = networked_run(
-        &g.data,
-        serve_opts,
-        |site| SiteOptions::new(site, N_SITES as u32, params()),
-        None,
-    );
-    let server = server.expect("server completes");
-    let sites: Vec<SiteOutcome> = sites
-        .into_iter()
-        .map(|s| s.expect("site completes"))
-        .collect();
+    // The fleet runs `run_dbdc`'s own local phase, so every local-phase
+    // setting carries over unchanged.
+    for p in [
+        params(),
+        params().with_threads(2).with_partitions(2),
+        params().with_precision(Precision::F32),
+    ] {
+        let reference = run_dbdc(&g.data, &p, partitioner(), N_SITES);
+        let mut serve_opts = ServeOptions::new(N_SITES, p);
+        serve_opts.drain_window = Duration::from_millis(150);
+        let (server, sites, _) = networked_run(
+            &g.data,
+            serve_opts,
+            |site| SiteOptions::new(site, N_SITES as u32, p),
+            None,
+        );
+        let server = server.expect("server completes");
+        let sites: Vec<SiteOutcome> = sites
+            .into_iter()
+            .map(|s| s.expect("site completes"))
+            .collect();
 
-    // The distributed-over-TCP clustering is the in-process clustering.
-    let assignment = reassemble(g.data.len(), &back, &sites);
-    assert_eq!(assignment, reference.assignment);
+        // The distributed-over-TCP clustering is the in-process clustering.
+        let assignment = reassemble(g.data.len(), &back, &sites);
+        assert_eq!(assignment, reference.assignment, "{p:?}");
 
-    // The server saw exactly the in-process protocol: same global
-    // model, same message sizes, one connection per site.
-    assert_eq!(server.global, reference.global);
-    assert_eq!(server.per_site_bytes_up, reference.per_site_bytes_up);
-    assert_eq!(server.global_model_bytes, reference.global_model_bytes);
-    assert_eq!(server.n_representatives, reference.n_representatives);
-    assert_eq!(server.connections, N_SITES as u64);
-    for (site, s) in sites.iter().enumerate() {
-        assert_eq!(s.attempts, 1, "site {site} needed retries on a clean link");
-        assert_eq!(s.bytes_up, reference.per_site_bytes_up[site]);
-        assert_eq!(s.bytes_down, reference.global_model_bytes);
-        assert_eq!(s.global, reference.global);
+        // The server saw exactly the in-process protocol: same global
+        // model, same message sizes, one connection per site.
+        assert_eq!(server.global, reference.global, "{p:?}");
+        assert_eq!(server.per_site_bytes_up, reference.per_site_bytes_up);
+        assert_eq!(server.global_model_bytes, reference.global_model_bytes);
+        assert_eq!(server.n_representatives, reference.n_representatives);
+        assert_eq!(server.connections, N_SITES as u64);
+        for (site, s) in sites.iter().enumerate() {
+            assert_eq!(s.attempts, 1, "site {site} needed retries on a clean link");
+            assert_eq!(s.bytes_up, reference.per_site_bytes_up[site], "{p:?}");
+            assert_eq!(s.bytes_down, reference.global_model_bytes);
+            assert_eq!(s.global, reference.global);
+            assert_eq!(
+                s.local_times.partitions.len(),
+                reference.timings.local[site].partitions.len()
+            );
+        }
+        // The measured phases are real walls now, not model outputs.
+        assert!(server.upload_wall > Duration::ZERO);
+        assert!(server.broadcast_wall > Duration::ZERO);
     }
-    // The measured phases are real walls now, not model outputs.
-    assert!(server.upload_wall > Duration::ZERO);
-    assert!(server.broadcast_wall > Duration::ZERO);
 }
 
 #[test]
