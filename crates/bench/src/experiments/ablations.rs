@@ -4,13 +4,14 @@
 use crate::table::{f, Table};
 use crate::{ms, timed};
 use dbdc::{
-    central_dbscan, q_dbdc, run_dbdc, run_pdbscan, run_rachet, wire, DbdcParams, EpsGlobal,
-    LocalModelKind, NetworkModel, ObjectQuality, Partitioner,
+    central_dbscan, local_phase, q_dbdc, run_dbdc, run_pdbscan, run_rachet, wire, DbdcParams,
+    EpsGlobal, LocalModelKind, NetworkModel, ObjectQuality, Partitioner,
 };
 use dbdc_cluster::{dbscan, extract_dbscan, DbscanParams};
 use dbdc_datagen::{dataset_a, scaled_a};
 use dbdc_geom::Euclidean;
 use dbdc_index::IndexKind;
+use dbdc_obs::NoopRecorder;
 
 use super::{quick, SEED};
 
@@ -117,25 +118,15 @@ pub fn optics() -> String {
     );
 
     // Rebuild the representative set once, then cluster it with OPTICS.
-    // (Re-running the pipeline manually to get at the representatives.)
+    // (Re-running the sites' local phase to get at the representatives.)
     let assignment = Partitioner::RandomEqual { seed: SEED }.assign(&g.data, 4);
     let (parts, back) = g.data.partition(4, &assignment);
     let mut models = Vec::new();
     let mut locals = Vec::new();
     for (site, part) in parts.iter().enumerate() {
-        let idx = dbdc_index::build_index(params.index, part, Euclidean, params.eps_local);
-        let scp = dbdc_cluster::dbscan_with_scp(
-            part,
-            idx.as_ref(),
-            &DbscanParams::new(params.eps_local, params.min_pts_local),
-        );
-        models.push(dbdc::build_local_model(
-            LocalModelKind::Scor,
-            part,
-            &scp,
-            site as u32,
-        ));
-        locals.push(scp);
+        let local = local_phase(site as u32, part, &params, &NoopRecorder);
+        models.push(wire::decode_local_model(&local.encoded).expect("own local model decodes"));
+        locals.push(local.scp);
     }
     let mut rep_points = dbdc_geom::Dataset::new(2);
     let mut rep_meta = Vec::new();

@@ -3,12 +3,12 @@
 
 use crate::table::{f, Table};
 use dbdc::{
-    central_dbscan, q_dbdc, relabel_site, run_dbdc, DbdcParams, EpsGlobal, ObjectQuality,
-    Partitioner,
+    central_dbscan, local_phase, q_dbdc, relabel_site, run_dbdc, wire, DbdcParams, EpsGlobal,
+    ObjectQuality, Partitioner,
 };
-use dbdc_cluster::{dbscan_with_scp, DbscanParams};
 use dbdc_datagen::scaled_a;
-use dbdc_geom::{Clustering, Euclidean, Label};
+use dbdc_geom::{Clustering, Label};
+use dbdc_obs::NoopRecorder;
 
 use super::{quick, SEED};
 
@@ -72,19 +72,9 @@ pub fn failure() -> String {
     let mut models = Vec::new();
     let mut locals = Vec::new();
     for (site, part) in parts.iter().enumerate() {
-        let idx = dbdc_index::build_index(params.index, part, Euclidean, params.eps_local);
-        let scp = dbscan_with_scp(
-            part,
-            idx.as_ref(),
-            &DbscanParams::new(params.eps_local, params.min_pts_local),
-        );
-        models.push(dbdc::build_local_model(
-            dbdc::LocalModelKind::Scor,
-            part,
-            &scp,
-            site as u32,
-        ));
-        locals.push(scp);
+        let local = local_phase(site as u32, part, &params, &NoopRecorder);
+        models.push(wire::decode_local_model(&local.encoded).expect("own local model decodes"));
+        locals.push(local.scp);
     }
     let mut t = Table::new([
         "failed sites",

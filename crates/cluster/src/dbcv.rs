@@ -43,7 +43,7 @@
 
 use dbdc_geom::{Clustering, Dataset, Metric};
 use dbdc_index::{build_index_opts, BuildOptions, IndexKind};
-use dbdc_obs::Recorder;
+use dbdc_obs::{Counter, Recorder};
 
 /// Counter scope the DBCV hot loops record under.
 pub const QUALITY_SCOPE: &str = "quality";
@@ -219,8 +219,8 @@ pub fn dbcv_with<M: Metric + Clone>(
     }
 
     if let Some(sheet) = sheet {
-        sheet.add_distance_evals(dist_evals);
-        sheet.add_mst_edges(mst_edges);
+        sheet.add_to(Counter::distance_evals, dist_evals);
+        sheet.add_to(Counter::mst_edges, mst_edges);
     }
     DbcvOutcome {
         value,

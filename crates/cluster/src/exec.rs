@@ -17,7 +17,7 @@ use crate::partitioned::{effective_partitions, partitioned_neighborhoods};
 use crate::scp::{dbscan_with_scp, ScpResult};
 use dbdc_geom::{Dataset, Euclidean};
 use dbdc_index::{build_index_opts, BuildOptions, IndexKind, NeighborIndex, Precision};
-use dbdc_obs::Recorder;
+use dbdc_obs::{Counter, Recorder};
 use std::time::{Duration, Instant};
 
 /// How one DBSCAN run executes.
@@ -127,7 +127,7 @@ impl Execution {
                 eps_hist.as_ref(),
             );
             if let Some(s) = &sheet {
-                s.add_halo_points(stats.halo_points);
+                s.add_to(Counter::halo_points, stats.halo_points);
             }
             let result = merge(&neighbors);
             let times = ExecTimes {

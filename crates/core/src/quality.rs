@@ -186,7 +186,7 @@ pub fn cluster_report(distr: &Clustering, central: &Clustering) -> Vec<ClusterMa
             if inter > 0 {
                 fragments += 1;
                 clustered += inter;
-                if best.is_none_or(|(_, b)| inter > b) {
+                if best.map_or(true, |(_, b)| inter > b) {
                     best = Some((d, inter));
                 }
             }

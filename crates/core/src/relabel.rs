@@ -73,7 +73,7 @@ pub fn relabel_site_observed(
         for &c in &candidates {
             let rep = &global.reps[c as usize];
             let d = Euclidean.dist(p, rep.point.coords());
-            if d <= rep.eps_range && best.is_none_or(|(bd, _)| d < bd) {
+            if d <= rep.eps_range && best.map_or(true, |(bd, _)| d < bd) {
                 best = Some((d, rep.global_cluster));
             }
         }

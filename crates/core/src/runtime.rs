@@ -22,7 +22,7 @@ use crate::partition::Partitioner;
 use crate::step::{local_phase, relabel_phase, server_phase, LocalPhase, LocalTimes};
 use dbdc_cluster::{effective_threads, DbscanParams, DbscanResult};
 use dbdc_geom::{Clustering, Dataset, Label};
-use dbdc_obs::{NoopRecorder, Recorder, Span};
+use dbdc_obs::{Counter, NoopRecorder, Recorder, Span};
 use std::time::{Duration, Instant};
 
 /// OS threads active in each protocol phase (diagnostic, recorded by the
@@ -260,8 +260,8 @@ fn run(
     let global_model_bytes = server.encoded.len();
     let bytes_down = global_model_bytes * parts.len();
     if let Some(s) = &global_sheet {
-        s.add_bytes_received(bytes_up as u64);
-        s.add_bytes_sent(bytes_down as u64);
+        s.add_to(Counter::bytes_received, bytes_up as u64);
+        s.add_to(Counter::bytes_sent, bytes_down as u64);
     }
 
     // --- Clients: each decodes the broadcast copy and relabels. ---

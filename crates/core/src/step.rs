@@ -16,7 +16,7 @@ use crate::wire::{self, WireError};
 use bytes::Bytes;
 use dbdc_cluster::{DbscanParams, ScpResult};
 use dbdc_geom::{Clustering, Dataset};
-use dbdc_obs::{CounterSheet, Recorder, Span};
+use dbdc_obs::{Counter, CounterSheet, Recorder, Span};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,8 +96,8 @@ pub fn local_phase(
     let encoded = wire::encode_local_model(&model).expect("local model fits the wire format");
     let encode = t0.elapsed() - extract;
     if let Some(s) = rec.sheet(&scope) {
-        s.add_representatives(model.len() as u64);
-        s.add_bytes_sent(encoded.len() as u64);
+        s.add_to(Counter::representatives, model.len() as u64);
+        s.add_to(Counter::bytes_sent, encoded.len() as u64);
     }
     let times = LocalTimes {
         build: exec.build,
@@ -143,7 +143,10 @@ pub fn server_phase<U: AsRef<[u8]>>(
     let global = build_global_model_observed(&models, params, sheet);
     let encoded = wire::encode_global_model(&global).expect("global model fits the wire format");
     if let Some(s) = sheet {
-        s.add_representatives(models.iter().map(|m| m.len() as u64).sum());
+        s.add_to(
+            Counter::representatives,
+            models.iter().map(|m| m.len() as u64).sum(),
+        );
     }
     Ok(ServerPhase {
         models,
@@ -167,7 +170,7 @@ pub fn relabel_phase(
     let sheet = rec.sheet(&format!("relabel[{site}]"));
     let global = wire::decode_global_model(broadcast)?;
     if let Some(s) = &sheet {
-        s.add_bytes_received(broadcast.len() as u64);
+        s.add_to(Counter::bytes_received, broadcast.len() as u64);
     }
     let labels = relabel_site_observed(data, local, &global, sheet.as_ref());
     Ok((global, labels))

@@ -32,58 +32,62 @@ pub const FRAME_OVERHEAD: usize = 1 + 8;
 /// a corrupt or hostile length prefix.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 64 << 20;
 
-/// Every message kind of the session protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum FrameKind {
+/// Lists every frame kind once — doc comment, variant, kind byte, wire
+/// name — in discriminant order, generating the enum, [`FrameKind::ALL`]
+/// and [`FrameKind::name`].
+macro_rules! frame_kinds {
+    ($($(#[doc = $doc:literal])+ $kind:ident = $byte:literal, $name:literal;)+) => {
+        /// Every message kind of the session protocol.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum FrameKind {
+            $($(#[doc = $doc])+ $kind = $byte,)+
+        }
+
+        impl FrameKind {
+            /// Every kind, in discriminant order (discriminants start at
+            /// 1, so `kind as usize - 1` indexes this array).
+            pub const ALL: [FrameKind; [$($byte),+].len()] = [$(FrameKind::$kind),+];
+
+            /// The kind's name, for protocol-error messages and per-kind
+            /// metric scopes.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(FrameKind::$kind => $name,)+
+                }
+            }
+        }
+    };
+}
+
+frame_kinds! {
     /// Site → server: protocol version + site id + expected site count.
-    Hello = 1,
+    Hello = 1, "HELLO";
     /// Server → site: handshake accepted.
-    HelloAck = 2,
+    HelloAck = 2, "HELLO_ACK";
     /// Site → server: a wire-encoded [`dbdc::LocalModel`].
-    LocalModel = 3,
+    LocalModel = 3, "LOCAL_MODEL";
     /// Server → site: local model received and verified.
-    ModelAck = 4,
+    ModelAck = 4, "MODEL_ACK";
     /// Server → site: a wire-encoded [`dbdc::GlobalModel`].
-    GlobalModel = 5,
+    GlobalModel = 5, "GLOBAL_MODEL";
     /// Site → server: global model received and verified.
-    GlobalAck = 6,
+    GlobalAck = 6, "GLOBAL_ACK";
     /// Either direction: fatal rejection, payload is a UTF-8 reason.
-    Error = 7,
+    Error = 7, "ERROR";
     /// Server → site: your GLOBAL_ACK was recorded, the session is
     /// over. Without this the site could not distinguish "server got my
     /// ack and closed" from "the link died as I acked" — it stops only
     /// on GOODBYE and otherwise replays the (idempotent) session.
-    Goodbye = 8,
+    Goodbye = 8, "GOODBYE";
 }
 
 impl FrameKind {
     fn from_u8(b: u8) -> Result<Self, FrameError> {
-        Ok(match b {
-            1 => FrameKind::Hello,
-            2 => FrameKind::HelloAck,
-            3 => FrameKind::LocalModel,
-            4 => FrameKind::ModelAck,
-            5 => FrameKind::GlobalModel,
-            6 => FrameKind::GlobalAck,
-            7 => FrameKind::Error,
-            8 => FrameKind::Goodbye,
-            other => return Err(FrameError::BadKind(other)),
-        })
-    }
-
-    /// The kind's name, for protocol-error messages.
-    pub fn name(self) -> &'static str {
-        match self {
-            FrameKind::Hello => "HELLO",
-            FrameKind::HelloAck => "HELLO_ACK",
-            FrameKind::LocalModel => "LOCAL_MODEL",
-            FrameKind::ModelAck => "MODEL_ACK",
-            FrameKind::GlobalModel => "GLOBAL_MODEL",
-            FrameKind::GlobalAck => "GLOBAL_ACK",
-            FrameKind::Error => "ERROR",
-            FrameKind::Goodbye => "GOODBYE",
-        }
+        FrameKind::ALL
+            .into_iter()
+            .find(|&k| k as u8 == b)
+            .ok_or(FrameError::BadKind(b))
     }
 }
 

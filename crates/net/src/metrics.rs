@@ -27,7 +27,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dbdc_obs::{CounterSheet, HistSheet, Recorder};
+use dbdc_obs::{Counter, CounterSheet, HistSheet, Recorder};
 
 use crate::error::{FrameError, NetError};
 use crate::frame::{read_frame, write_frame, Frame, FrameKind};
@@ -36,26 +36,13 @@ use crate::frame::{read_frame, write_frame, Frame, FrameKind};
 /// prefix + kind byte + 8-byte checksum.
 pub const WIRE_OVERHEAD: u64 = 4 + crate::frame::FRAME_OVERHEAD as u64;
 
-/// All frame kinds, in `FrameKind` discriminant order (discriminants
-/// start at 1, so `kind as usize - 1` indexes this array).
-const KINDS: [FrameKind; 8] = [
-    FrameKind::Hello,
-    FrameKind::HelloAck,
-    FrameKind::LocalModel,
-    FrameKind::ModelAck,
-    FrameKind::GlobalModel,
-    FrameKind::GlobalAck,
-    FrameKind::Error,
-    FrameKind::Goodbye,
-];
-
 /// Shared wire-instrumentation handles for one observed party.
 #[derive(Clone, Default)]
 pub struct WireMetrics {
     /// Aggregate counters for this party (`net/server`, `net/site[i]`).
     agg: Option<Arc<CounterSheet>>,
     /// Per-[`FrameKind`] counters, indexed by `kind as usize - 1`.
-    per_kind: [Option<Arc<CounterSheet>>; 8],
+    per_kind: [Option<Arc<CounterSheet>>; FrameKind::ALL.len()],
     write_hist: Option<Arc<HistSheet>>,
     read_hist: Option<Arc<HistSheet>>,
     session_hist: Option<Arc<HistSheet>>,
@@ -71,7 +58,7 @@ impl WireMetrics {
         }
         WireMetrics {
             agg: rec.sheet(scope),
-            per_kind: KINDS.map(|k| rec.sheet(&format!("{scope}/{}", k.name()))),
+            per_kind: FrameKind::ALL.map(|k| rec.sheet(&format!("{scope}/{}", k.name()))),
             write_hist: rec.hist("net/frame_write_ns"),
             read_hist: rec.hist("net/frame_read_ns"),
             session_hist: rec.hist("net/session_ns"),
@@ -153,14 +140,14 @@ impl WireMetrics {
     fn count_read_error(&self, e: &NetError) {
         let Some(s) = &self.agg else { return };
         match e {
-            NetError::Frame(FrameError::BadChecksum) => s.add_checksum_failure(),
-            NetError::Frame(FrameError::TooLarge { .. }) => s.add_oversize_reject(),
+            NetError::Frame(FrameError::BadChecksum) => s.add_to(Counter::checksum_failures, 1),
+            NetError::Frame(FrameError::TooLarge { .. }) => s.add_to(Counter::oversize_rejects, 1),
             NetError::Frame(FrameError::TooShort(_)) | NetError::Frame(FrameError::BadKind(_)) => {
-                s.add_truncated_reject()
+                s.add_to(Counter::truncated_rejects, 1)
             }
             // A stream that dies mid-frame is a truncated frame too.
             NetError::Io(io) if io.kind() == std::io::ErrorKind::UnexpectedEof => {
-                s.add_truncated_reject()
+                s.add_to(Counter::truncated_rejects, 1)
             }
             _ => {}
         }
@@ -176,7 +163,7 @@ impl WireMetrics {
     /// Records a session refused during the HELLO exchange.
     pub fn add_handshake_rejection(&self) {
         if let Some(s) = &self.agg {
-            s.add_handshake_rejection();
+            s.add_to(Counter::handshake_rejections, 1);
         }
     }
 

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use dbdc::wire;
 use dbdc::{server_phase, DbdcParams, GlobalModel, LocalModel, ServerPhase};
-use dbdc_obs::Recorder;
+use dbdc_obs::{Counter, Recorder};
 
 use crate::error::NetError;
 use crate::frame::{Frame, FrameKind, Hello, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION};
@@ -327,7 +327,7 @@ fn handle_connection(
         let mut st = shared.state.lock().expect("server state poisoned");
         if st.uploads[site].is_none() {
             if let Some(s) = sheet {
-                s.add_bytes_received(frame.payload.len() as u64);
+                s.add_to(Counter::bytes_received, frame.payload.len() as u64);
             }
             st.uploads[site] = Some(frame.payload);
             if st.all_models_in() && st.global.is_none() {
@@ -372,7 +372,7 @@ fn handle_connection(
             &Frame::new(FrameKind::GlobalModel, encoded_global.clone()),
         )?;
         if let Some(s) = sheet {
-            s.add_bytes_sent(encoded_global.len() as u64);
+            s.add_to(Counter::bytes_sent, encoded_global.len() as u64);
         }
         match wire.read_frame_observed(&mut stream, opts.max_frame_bytes) {
             Ok(f) if f.kind == FrameKind::GlobalAck => {

@@ -17,79 +17,123 @@
 //! synchronization duty — readers snapshot after the producing phase
 //! has been joined.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// A snapshot of protocol work, in occurrence counts and bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
+/// One row per counter: its doc comment, then its name. Row order is
+/// the serialization order (JSON keys, Prometheus families, `FIELDS`
+/// indices), so rows are only ever appended.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $name:ident,)+) => {
+        /// A snapshot of protocol work, in occurrence counts and bytes.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Counters {
+            $($(#[doc = $doc])+ pub $name: u64,)+
+        }
+
+        /// Names one counter; its discriminant indexes [`Counters::FIELDS`].
+        #[allow(non_camel_case_types)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[doc = $doc])+ $name,)+
+        }
+
+        impl Counter {
+            /// Every counter, in [`Counters::FIELDS`] order.
+            pub const ALL: [Counter; Counters::N] = [$(Counter::$name),+];
+        }
+
+        impl Counters {
+            /// How many counters the table declares.
+            pub const N: usize = [$(stringify!($name)),+].len();
+
+            /// Stable field names, in serialization order.
+            pub const FIELDS: [&'static str; Counters::N] = [$(stringify!($name)),+];
+
+            /// Field values in [`Counters::FIELDS`] order.
+            pub fn values(&self) -> [u64; Counters::N] {
+                [$(self.$name),+]
+            }
+
+            /// Rebuilds a snapshot from values in [`Counters::FIELDS`]
+            /// order — the inverse of [`Counters::values`]. Used by the
+            /// telemetry snapshot delta and the exposition parser.
+            pub fn from_values(v: [u64; Counters::N]) -> Counters {
+                let [$($name),+] = v;
+                Counters { $($name),+ }
+            }
+        }
+    };
+}
+
+counters! {
     /// ε-range queries answered by an index.
-    pub range_queries: u64,
+    range_queries,
     /// k-nearest-neighbour queries answered by an index.
-    pub knn_queries: u64,
+    knn_queries,
     /// Point-to-point distance evaluations (surrogate or exact) spent
     /// verifying candidates inside index queries.
-    pub distance_evals: u64,
+    distance_evals,
     /// Index nodes inspected: tree nodes whose bounding box was tested
     /// (kd-tree), nodes descended into (R*-tree), or occupied grid
     /// cells probed (grid). Zero for the linear scan.
-    pub node_visits: u64,
+    node_visits,
     /// Successful DSU merges in the parallel DBSCAN merge phase.
-    pub dsu_unions: u64,
+    dsu_unions,
     /// DSU `find` invocations (including the two inside each `union`).
-    pub dsu_finds: u64,
+    dsu_finds,
     /// Representatives emitted into a local model.
-    pub representatives: u64,
+    representatives,
     /// Wire bytes sent by the observed party.
-    pub bytes_sent: u64,
+    bytes_sent,
     /// Wire bytes received by the observed party.
-    pub bytes_received: u64,
+    bytes_received,
     /// Frames written to a TCP stream.
-    pub frames_sent: u64,
+    frames_sent,
     /// Frames successfully read (and checksum-verified) from a stream.
-    pub frames_received: u64,
+    frames_received,
     /// Bytes put on the wire by frame writes: length prefix + kind +
     /// payload + checksum. Always ≥ the payload bytes in `bytes_sent`.
-    pub wire_bytes_sent: u64,
+    wire_bytes_sent,
     /// Bytes consumed off the wire by successful frame reads.
-    pub wire_bytes_received: u64,
+    wire_bytes_received,
     /// Frames rejected because their checksum did not verify.
-    pub checksum_failures: u64,
+    checksum_failures,
     /// Frames rejected as truncated: short length prefix, short body,
     /// or an unknown kind byte (corruption indistinguishable from
     /// truncation at this layer).
-    pub truncated_rejects: u64,
+    truncated_rejects,
     /// Frames rejected for exceeding the configured size limit.
-    pub oversize_rejects: u64,
+    oversize_rejects,
     /// Sessions refused during the HELLO exchange (version or topology
     /// mismatch), counted by whichever side observed the refusal.
-    pub handshake_rejections: u64,
+    handshake_rejections,
     /// Whole-session retry attempts beyond the first.
-    pub retries: u64,
+    retries,
     /// Total nanoseconds slept in retry backoff.
-    pub backoff_wait_ns: u64,
+    backoff_wait_ns,
     /// Frames deliberately dropped by a fault proxy.
-    pub faults_dropped: u64,
+    faults_dropped,
     /// Frames deliberately delayed by a fault proxy.
-    pub faults_delayed: u64,
+    faults_delayed,
     /// Frames deliberately truncated by a fault proxy.
-    pub faults_truncated: u64,
+    faults_truncated,
     /// Frames deliberately bit-flipped by a fault proxy.
-    pub faults_bitflipped: u64,
+    faults_bitflipped,
     /// MST edges accepted while computing the DBCV validity index.
-    pub mst_edges: u64,
+    mst_edges,
     /// Objects with perfect quality (P = 1) in a Q_DBDC comparison.
-    pub quality_perfect: u64,
+    quality_perfect,
     /// Objects with zero quality (P = 0) in a Q_DBDC comparison.
-    pub quality_zero: u64,
+    quality_zero,
     /// Objects flagged noise by both clusterings under comparison.
-    pub quality_noise_both: u64,
+    quality_noise_both,
     /// Objects flagged noise only by the distributed clustering.
-    pub quality_noise_distr_only: u64,
+    quality_noise_distr_only,
     /// Objects flagged noise only by the central reference clustering.
-    pub quality_noise_central_only: u64,
+    quality_noise_central_only,
     /// Halo points replicated across partition borders by the
     /// partitioned local phase (sum over partitions).
-    pub halo_points: u64,
+    halo_points,
 }
 
 impl Counters {
@@ -98,114 +142,6 @@ impl Counters {
     /// as zero when absent.
     pub const CORE_FIELDS: usize = 9;
 
-    /// Stable field names, in serialization order.
-    pub const FIELDS: [&'static str; 30] = [
-        "range_queries",
-        "knn_queries",
-        "distance_evals",
-        "node_visits",
-        "dsu_unions",
-        "dsu_finds",
-        "representatives",
-        "bytes_sent",
-        "bytes_received",
-        "frames_sent",
-        "frames_received",
-        "wire_bytes_sent",
-        "wire_bytes_received",
-        "checksum_failures",
-        "truncated_rejects",
-        "oversize_rejects",
-        "handshake_rejections",
-        "retries",
-        "backoff_wait_ns",
-        "faults_dropped",
-        "faults_delayed",
-        "faults_truncated",
-        "faults_bitflipped",
-        "mst_edges",
-        "quality_perfect",
-        "quality_zero",
-        "quality_noise_both",
-        "quality_noise_distr_only",
-        "quality_noise_central_only",
-        "halo_points",
-    ];
-
-    /// Field values in [`Counters::FIELDS`] order.
-    pub fn values(&self) -> [u64; 30] {
-        [
-            self.range_queries,
-            self.knn_queries,
-            self.distance_evals,
-            self.node_visits,
-            self.dsu_unions,
-            self.dsu_finds,
-            self.representatives,
-            self.bytes_sent,
-            self.bytes_received,
-            self.frames_sent,
-            self.frames_received,
-            self.wire_bytes_sent,
-            self.wire_bytes_received,
-            self.checksum_failures,
-            self.truncated_rejects,
-            self.oversize_rejects,
-            self.handshake_rejections,
-            self.retries,
-            self.backoff_wait_ns,
-            self.faults_dropped,
-            self.faults_delayed,
-            self.faults_truncated,
-            self.faults_bitflipped,
-            self.mst_edges,
-            self.quality_perfect,
-            self.quality_zero,
-            self.quality_noise_both,
-            self.quality_noise_distr_only,
-            self.quality_noise_central_only,
-            self.halo_points,
-        ]
-    }
-
-    /// Rebuilds a snapshot from values in [`Counters::FIELDS`] order —
-    /// the inverse of [`Counters::values`]. Used by the telemetry
-    /// snapshot delta and the exposition parser.
-    pub fn from_values(v: [u64; 30]) -> Counters {
-        Counters {
-            range_queries: v[0],
-            knn_queries: v[1],
-            distance_evals: v[2],
-            node_visits: v[3],
-            dsu_unions: v[4],
-            dsu_finds: v[5],
-            representatives: v[6],
-            bytes_sent: v[7],
-            bytes_received: v[8],
-            frames_sent: v[9],
-            frames_received: v[10],
-            wire_bytes_sent: v[11],
-            wire_bytes_received: v[12],
-            checksum_failures: v[13],
-            truncated_rejects: v[14],
-            oversize_rejects: v[15],
-            handshake_rejections: v[16],
-            retries: v[17],
-            backoff_wait_ns: v[18],
-            faults_dropped: v[19],
-            faults_delayed: v[20],
-            faults_truncated: v[21],
-            faults_bitflipped: v[22],
-            mst_edges: v[23],
-            quality_perfect: v[24],
-            quality_zero: v[25],
-            quality_noise_both: v[26],
-            quality_noise_distr_only: v[27],
-            quality_noise_central_only: v[28],
-            halo_points: v[29],
-        }
-    }
-
     /// Whether every counter is zero.
     pub fn is_zero(&self) -> bool {
         self.values().iter().all(|&v| v == 0)
@@ -213,36 +149,8 @@ impl Counters {
 
     /// Adds `other` into `self`, field by field.
     pub fn add(&mut self, other: &Counters) {
-        self.range_queries += other.range_queries;
-        self.knn_queries += other.knn_queries;
-        self.distance_evals += other.distance_evals;
-        self.node_visits += other.node_visits;
-        self.dsu_unions += other.dsu_unions;
-        self.dsu_finds += other.dsu_finds;
-        self.representatives += other.representatives;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_received += other.bytes_received;
-        self.frames_sent += other.frames_sent;
-        self.frames_received += other.frames_received;
-        self.wire_bytes_sent += other.wire_bytes_sent;
-        self.wire_bytes_received += other.wire_bytes_received;
-        self.checksum_failures += other.checksum_failures;
-        self.truncated_rejects += other.truncated_rejects;
-        self.oversize_rejects += other.oversize_rejects;
-        self.handshake_rejections += other.handshake_rejections;
-        self.retries += other.retries;
-        self.backoff_wait_ns += other.backoff_wait_ns;
-        self.faults_dropped += other.faults_dropped;
-        self.faults_delayed += other.faults_delayed;
-        self.faults_truncated += other.faults_truncated;
-        self.faults_bitflipped += other.faults_bitflipped;
-        self.mst_edges += other.mst_edges;
-        self.quality_perfect += other.quality_perfect;
-        self.quality_zero += other.quality_zero;
-        self.quality_noise_both += other.quality_noise_both;
-        self.quality_noise_distr_only += other.quality_noise_distr_only;
-        self.quality_noise_central_only += other.quality_noise_central_only;
-        self.halo_points += other.halo_points;
+        let (a, b) = (self.values(), other.values());
+        *self = Counters::from_values(std::array::from_fn(|i| a[i] + b[i]));
     }
 
     /// Field-wise sum of many snapshots.
@@ -259,38 +167,17 @@ impl Counters {
 ///
 /// Cheap to share (`Arc<CounterSheet>`), safe to add into from many
 /// threads, snapshot once the producing phase is done.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CounterSheet {
-    range_queries: AtomicU64,
-    knn_queries: AtomicU64,
-    distance_evals: AtomicU64,
-    node_visits: AtomicU64,
-    dsu_unions: AtomicU64,
-    dsu_finds: AtomicU64,
-    representatives: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    frames_sent: AtomicU64,
-    frames_received: AtomicU64,
-    wire_bytes_sent: AtomicU64,
-    wire_bytes_received: AtomicU64,
-    checksum_failures: AtomicU64,
-    truncated_rejects: AtomicU64,
-    oversize_rejects: AtomicU64,
-    handshake_rejections: AtomicU64,
-    retries: AtomicU64,
-    backoff_wait_ns: AtomicU64,
-    faults_dropped: AtomicU64,
-    faults_delayed: AtomicU64,
-    faults_truncated: AtomicU64,
-    faults_bitflipped: AtomicU64,
-    mst_edges: AtomicU64,
-    quality_perfect: AtomicU64,
-    quality_zero: AtomicU64,
-    quality_noise_both: AtomicU64,
-    quality_noise_distr_only: AtomicU64,
-    quality_noise_central_only: AtomicU64,
-    halo_points: AtomicU64,
+    cells: [AtomicU64; Counters::N],
+}
+
+impl Default for CounterSheet {
+    fn default() -> Self {
+        CounterSheet {
+            cells: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
 }
 
 impl CounterSheet {
@@ -299,115 +186,69 @@ impl CounterSheet {
         Self::default()
     }
 
-    /// Records one completed ε-range query with its per-query work.
+    /// Adds `n` to one counter.
+    pub fn add_to(&self, counter: Counter, n: u64) {
+        self.cells[counter as usize].fetch_add(n, Relaxed);
+    }
+
+    /// Records one completed ε-range query with its per-query work:
+    /// `range_queries`, `distance_evals` and `node_visits` move together.
     pub fn record_range(&self, distance_evals: u64, node_visits: u64) {
-        self.range_queries.fetch_add(1, Ordering::Relaxed);
-        self.distance_evals
-            .fetch_add(distance_evals, Ordering::Relaxed);
-        self.node_visits.fetch_add(node_visits, Ordering::Relaxed);
+        self.add_to(Counter::range_queries, 1);
+        self.add_to(Counter::distance_evals, distance_evals);
+        self.add_to(Counter::node_visits, node_visits);
     }
 
-    /// Records one completed knn query with its per-query work.
+    /// Records one completed knn query with its per-query work:
+    /// `knn_queries`, `distance_evals` and `node_visits` move together.
     pub fn record_knn(&self, distance_evals: u64, node_visits: u64) {
-        self.knn_queries.fetch_add(1, Ordering::Relaxed);
-        self.distance_evals
-            .fetch_add(distance_evals, Ordering::Relaxed);
-        self.node_visits.fetch_add(node_visits, Ordering::Relaxed);
+        self.add_to(Counter::knn_queries, 1);
+        self.add_to(Counter::distance_evals, distance_evals);
+        self.add_to(Counter::node_visits, node_visits);
     }
 
-    /// Records a finished DSU phase.
+    /// Records a finished DSU phase: `dsu_unions` and `dsu_finds`.
     pub fn add_dsu(&self, unions: u64, finds: u64) {
-        self.dsu_unions.fetch_add(unions, Ordering::Relaxed);
-        self.dsu_finds.fetch_add(finds, Ordering::Relaxed);
+        self.add_to(Counter::dsu_unions, unions);
+        self.add_to(Counter::dsu_finds, finds);
     }
 
-    /// Records representatives emitted into a local model.
-    pub fn add_representatives(&self, n: u64) {
-        self.representatives.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one sent message of `bytes`.
-    pub fn add_bytes_sent(&self, bytes: u64) {
-        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one received message of `bytes`.
-    pub fn add_bytes_received(&self, bytes: u64) {
-        self.bytes_received.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one frame written to the wire: `wire` is the full
-    /// on-the-wire size (prefix + kind + payload + checksum), `payload`
-    /// the payload portion alone.
+    /// Records one frame written to the wire: `frames_sent`, then
+    /// `wire_bytes_sent` by `wire`, the full on-the-wire size (prefix +
+    /// kind + payload + checksum), and `bytes_sent` by `payload` alone.
     pub fn add_frame_sent(&self, wire: u64, payload: u64) {
-        self.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.wire_bytes_sent.fetch_add(wire, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(payload, Ordering::Relaxed);
+        self.add_to(Counter::frames_sent, 1);
+        self.add_to(Counter::wire_bytes_sent, wire);
+        self.add_to(Counter::bytes_sent, payload);
     }
 
-    /// Records one checksum-verified frame read off the wire.
+    /// Records one checksum-verified frame read off the wire, in
+    /// `frames_received`, `wire_bytes_received` and `bytes_received`.
     pub fn add_frame_received(&self, wire: u64, payload: u64) {
-        self.frames_received.fetch_add(1, Ordering::Relaxed);
-        self.wire_bytes_received.fetch_add(wire, Ordering::Relaxed);
-        self.bytes_received.fetch_add(payload, Ordering::Relaxed);
+        self.add_to(Counter::frames_received, 1);
+        self.add_to(Counter::wire_bytes_received, wire);
+        self.add_to(Counter::bytes_received, payload);
     }
 
-    /// Records a frame rejected for a bad checksum.
-    pub fn add_checksum_failure(&self) {
-        self.checksum_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a frame rejected as truncated or structurally invalid.
-    pub fn add_truncated_reject(&self) {
-        self.truncated_rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a frame rejected for exceeding the size limit.
-    pub fn add_oversize_reject(&self) {
-        self.oversize_rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a session refused during the HELLO exchange.
-    pub fn add_handshake_rejection(&self) {
-        self.handshake_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one retry attempt and the backoff slept before it.
+    /// Records one retry attempt (`retries`) and the backoff slept
+    /// before it (`backoff_wait_ns`).
     pub fn add_retry(&self, backoff: std::time::Duration) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-        self.backoff_wait_ns.fetch_add(
-            backoff.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
+        self.add_to(Counter::retries, 1);
+        let ns = u64::try_from(backoff.as_nanos()).unwrap_or(u64::MAX);
+        self.add_to(Counter::backoff_wait_ns, ns);
     }
 
-    /// Records faults injected by an adversarial proxy.
+    /// Records faults injected by an adversarial proxy, one counter per
+    /// fault type.
     pub fn add_faults(&self, dropped: u64, delayed: u64, truncated: u64, bitflipped: u64) {
-        self.faults_dropped.fetch_add(dropped, Ordering::Relaxed);
-        self.faults_delayed.fetch_add(delayed, Ordering::Relaxed);
-        self.faults_truncated
-            .fetch_add(truncated, Ordering::Relaxed);
-        self.faults_bitflipped
-            .fetch_add(bitflipped, Ordering::Relaxed);
+        self.add_to(Counter::faults_dropped, dropped);
+        self.add_to(Counter::faults_delayed, delayed);
+        self.add_to(Counter::faults_truncated, truncated);
+        self.add_to(Counter::faults_bitflipped, bitflipped);
     }
 
-    /// Records MST edges accepted by a DBCV computation.
-    pub fn add_mst_edges(&self, n: u64) {
-        self.mst_edges.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records halo points replicated by the partitioned local phase.
-    pub fn add_halo_points(&self, n: u64) {
-        self.halo_points.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records distance evaluations performed outside an index query
-    /// (e.g. the DBCV mutual-reachability loops).
-    pub fn add_distance_evals(&self, n: u64) {
-        self.distance_evals.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records the object breakdown of one Q_DBDC comparison.
+    /// Records the object breakdown of one Q_DBDC comparison, one
+    /// `quality_*` counter per class.
     pub fn add_quality_breakdown(
         &self,
         perfect: u64,
@@ -416,105 +257,23 @@ impl CounterSheet {
         noise_distr_only: u64,
         noise_central_only: u64,
     ) {
-        self.quality_perfect.fetch_add(perfect, Ordering::Relaxed);
-        self.quality_zero.fetch_add(zero, Ordering::Relaxed);
-        self.quality_noise_both
-            .fetch_add(noise_both, Ordering::Relaxed);
-        self.quality_noise_distr_only
-            .fetch_add(noise_distr_only, Ordering::Relaxed);
-        self.quality_noise_central_only
-            .fetch_add(noise_central_only, Ordering::Relaxed);
+        self.add_to(Counter::quality_perfect, perfect);
+        self.add_to(Counter::quality_zero, zero);
+        self.add_to(Counter::quality_noise_both, noise_both);
+        self.add_to(Counter::quality_noise_distr_only, noise_distr_only);
+        self.add_to(Counter::quality_noise_central_only, noise_central_only);
     }
 
     /// Adds a whole snapshot at once.
     pub fn add(&self, c: &Counters) {
-        self.range_queries
-            .fetch_add(c.range_queries, Ordering::Relaxed);
-        self.knn_queries.fetch_add(c.knn_queries, Ordering::Relaxed);
-        self.distance_evals
-            .fetch_add(c.distance_evals, Ordering::Relaxed);
-        self.node_visits.fetch_add(c.node_visits, Ordering::Relaxed);
-        self.dsu_unions.fetch_add(c.dsu_unions, Ordering::Relaxed);
-        self.dsu_finds.fetch_add(c.dsu_finds, Ordering::Relaxed);
-        self.representatives
-            .fetch_add(c.representatives, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(c.bytes_sent, Ordering::Relaxed);
-        self.bytes_received
-            .fetch_add(c.bytes_received, Ordering::Relaxed);
-        self.frames_sent.fetch_add(c.frames_sent, Ordering::Relaxed);
-        self.frames_received
-            .fetch_add(c.frames_received, Ordering::Relaxed);
-        self.wire_bytes_sent
-            .fetch_add(c.wire_bytes_sent, Ordering::Relaxed);
-        self.wire_bytes_received
-            .fetch_add(c.wire_bytes_received, Ordering::Relaxed);
-        self.checksum_failures
-            .fetch_add(c.checksum_failures, Ordering::Relaxed);
-        self.truncated_rejects
-            .fetch_add(c.truncated_rejects, Ordering::Relaxed);
-        self.oversize_rejects
-            .fetch_add(c.oversize_rejects, Ordering::Relaxed);
-        self.handshake_rejections
-            .fetch_add(c.handshake_rejections, Ordering::Relaxed);
-        self.retries.fetch_add(c.retries, Ordering::Relaxed);
-        self.backoff_wait_ns
-            .fetch_add(c.backoff_wait_ns, Ordering::Relaxed);
-        self.faults_dropped
-            .fetch_add(c.faults_dropped, Ordering::Relaxed);
-        self.faults_delayed
-            .fetch_add(c.faults_delayed, Ordering::Relaxed);
-        self.faults_truncated
-            .fetch_add(c.faults_truncated, Ordering::Relaxed);
-        self.faults_bitflipped
-            .fetch_add(c.faults_bitflipped, Ordering::Relaxed);
-        self.mst_edges.fetch_add(c.mst_edges, Ordering::Relaxed);
-        self.quality_perfect
-            .fetch_add(c.quality_perfect, Ordering::Relaxed);
-        self.quality_zero
-            .fetch_add(c.quality_zero, Ordering::Relaxed);
-        self.quality_noise_both
-            .fetch_add(c.quality_noise_both, Ordering::Relaxed);
-        self.quality_noise_distr_only
-            .fetch_add(c.quality_noise_distr_only, Ordering::Relaxed);
-        self.quality_noise_central_only
-            .fetch_add(c.quality_noise_central_only, Ordering::Relaxed);
-        self.halo_points.fetch_add(c.halo_points, Ordering::Relaxed);
+        for (cell, v) in self.cells.iter().zip(c.values()) {
+            cell.fetch_add(v, Relaxed);
+        }
     }
 
     /// The current totals as a plain value.
     pub fn snapshot(&self) -> Counters {
-        Counters {
-            range_queries: self.range_queries.load(Ordering::Relaxed),
-            knn_queries: self.knn_queries.load(Ordering::Relaxed),
-            distance_evals: self.distance_evals.load(Ordering::Relaxed),
-            node_visits: self.node_visits.load(Ordering::Relaxed),
-            dsu_unions: self.dsu_unions.load(Ordering::Relaxed),
-            dsu_finds: self.dsu_finds.load(Ordering::Relaxed),
-            representatives: self.representatives.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            wire_bytes_sent: self.wire_bytes_sent.load(Ordering::Relaxed),
-            wire_bytes_received: self.wire_bytes_received.load(Ordering::Relaxed),
-            checksum_failures: self.checksum_failures.load(Ordering::Relaxed),
-            truncated_rejects: self.truncated_rejects.load(Ordering::Relaxed),
-            oversize_rejects: self.oversize_rejects.load(Ordering::Relaxed),
-            handshake_rejections: self.handshake_rejections.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            backoff_wait_ns: self.backoff_wait_ns.load(Ordering::Relaxed),
-            faults_dropped: self.faults_dropped.load(Ordering::Relaxed),
-            faults_delayed: self.faults_delayed.load(Ordering::Relaxed),
-            faults_truncated: self.faults_truncated.load(Ordering::Relaxed),
-            faults_bitflipped: self.faults_bitflipped.load(Ordering::Relaxed),
-            mst_edges: self.mst_edges.load(Ordering::Relaxed),
-            quality_perfect: self.quality_perfect.load(Ordering::Relaxed),
-            quality_zero: self.quality_zero.load(Ordering::Relaxed),
-            quality_noise_both: self.quality_noise_both.load(Ordering::Relaxed),
-            quality_noise_distr_only: self.quality_noise_distr_only.load(Ordering::Relaxed),
-            quality_noise_central_only: self.quality_noise_central_only.load(Ordering::Relaxed),
-            halo_points: self.halo_points.load(Ordering::Relaxed),
-        }
+        Counters::from_values(std::array::from_fn(|i| self.cells[i].load(Relaxed)))
     }
 }
 
@@ -530,9 +289,9 @@ mod tests {
         s.record_range(50, 3);
         s.record_knn(10, 2);
         s.add_dsu(4, 11);
-        s.add_representatives(6);
-        s.add_bytes_sent(300);
-        s.add_bytes_received(40);
+        s.add_to(Counter::representatives, 6);
+        s.add_to(Counter::bytes_sent, 300);
+        s.add_to(Counter::bytes_received, 40);
         let c = s.snapshot();
         assert_eq!(c.range_queries, 2);
         assert_eq!(c.knn_queries, 1);
@@ -606,10 +365,10 @@ mod tests {
         s.add_frame_sent(23, 10);
         s.add_frame_sent(13, 0);
         s.add_frame_received(13, 0);
-        s.add_checksum_failure();
-        s.add_truncated_reject();
-        s.add_oversize_reject();
-        s.add_handshake_rejection();
+        s.add_to(Counter::checksum_failures, 1);
+        s.add_to(Counter::truncated_rejects, 1);
+        s.add_to(Counter::oversize_rejects, 1);
+        s.add_to(Counter::handshake_rejections, 1);
         s.add_retry(std::time::Duration::from_nanos(1_500));
         s.add_retry(std::time::Duration::from_nanos(500));
         s.add_faults(3, 2, 1, 4);
@@ -647,8 +406,8 @@ mod tests {
     #[test]
     fn quality_accessors_land_in_their_fields() {
         let s = CounterSheet::new();
-        s.add_mst_edges(17);
-        s.add_distance_evals(42);
+        s.add_to(Counter::mst_edges, 17);
+        s.add_to(Counter::distance_evals, 42);
         s.add_quality_breakdown(100, 3, 5, 2, 1);
         let c = s.snapshot();
         assert_eq!(c.mst_edges, 17);

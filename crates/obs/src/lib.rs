@@ -46,7 +46,7 @@ pub mod snapshot;
 pub mod span;
 pub mod timeline;
 
-pub use counters::{CounterSheet, Counters};
+pub use counters::{Counter, CounterSheet, Counters};
 pub use diff::{diff_reports, diff_reports_with, DiffOutcome, DiffRow, QUALITY_DROP_TOLERANCE};
 pub use hist::{fmt_sample, HistSheet, Histogram};
 pub use json::{Json, JsonError};

@@ -185,8 +185,8 @@ mod tests {
         let a = rec.sheet("local[0]").unwrap();
         let b = rec.sheet("local[0]").unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        a.add_bytes_sent(10);
-        b.add_bytes_sent(5);
+        a.add_to(crate::Counter::bytes_sent, 10);
+        b.add_to(crate::Counter::bytes_sent, 5);
         assert_eq!(rec.counters("local[0]").bytes_sent, 15);
     }
 

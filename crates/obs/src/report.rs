@@ -800,49 +800,20 @@ pub fn counters_to_json(c: &Counters) -> Json {
     )
 }
 
-/// Rebuilds counters from [`counters_to_json`] output. The nine
-/// original fields are required; the wire/fault fields (added in
-/// schema v3) default to zero when absent, so v1/v2 counter objects
-/// still parse.
+/// Rebuilds counters from [`counters_to_json`] output. The first
+/// [`Counters::CORE_FIELDS`] fields (the nine original ones) are
+/// required; the later fields (added from schema v3 on) read as zero
+/// when absent or not an integer, so v1/v2 counter objects still parse.
 pub fn counters_from_json(v: &Json) -> Result<Counters, String> {
-    let field = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("counters missing {name:?}"))
-    };
-    let opt = |name: &str| v.get(name).and_then(Json::as_u64).unwrap_or(0);
-    Ok(Counters {
-        range_queries: field("range_queries")?,
-        knn_queries: field("knn_queries")?,
-        distance_evals: field("distance_evals")?,
-        node_visits: field("node_visits")?,
-        dsu_unions: field("dsu_unions")?,
-        dsu_finds: field("dsu_finds")?,
-        representatives: field("representatives")?,
-        bytes_sent: field("bytes_sent")?,
-        bytes_received: field("bytes_received")?,
-        frames_sent: opt("frames_sent"),
-        frames_received: opt("frames_received"),
-        wire_bytes_sent: opt("wire_bytes_sent"),
-        wire_bytes_received: opt("wire_bytes_received"),
-        checksum_failures: opt("checksum_failures"),
-        truncated_rejects: opt("truncated_rejects"),
-        oversize_rejects: opt("oversize_rejects"),
-        handshake_rejections: opt("handshake_rejections"),
-        retries: opt("retries"),
-        backoff_wait_ns: opt("backoff_wait_ns"),
-        faults_dropped: opt("faults_dropped"),
-        faults_delayed: opt("faults_delayed"),
-        faults_truncated: opt("faults_truncated"),
-        faults_bitflipped: opt("faults_bitflipped"),
-        mst_edges: opt("mst_edges"),
-        quality_perfect: opt("quality_perfect"),
-        quality_zero: opt("quality_zero"),
-        quality_noise_both: opt("quality_noise_both"),
-        quality_noise_distr_only: opt("quality_noise_distr_only"),
-        quality_noise_central_only: opt("quality_noise_central_only"),
-        halo_points: opt("halo_points"),
-    })
+    let mut values = [0u64; Counters::N];
+    for (f, (name, cell)) in Counters::FIELDS.iter().zip(&mut values).enumerate() {
+        match v.get(name).and_then(Json::as_u64) {
+            Some(n) => *cell = n,
+            None if f < Counters::CORE_FIELDS => return Err(format!("counters missing {name:?}")),
+            None => {}
+        }
+    }
+    Ok(Counters::from_values(values))
 }
 
 fn req_usize(v: &Json, key: &str, what: &str) -> Result<usize, String> {
@@ -1078,6 +1049,18 @@ mod tests {
         }
         let err = RunReport::from_json(&v).unwrap_err();
         assert!(err.contains("spans"), "{err}");
+    }
+
+    #[test]
+    fn deeply_nested_input_is_an_error() {
+        let text = sample().to_json_string();
+        let head = text
+            .trim_end()
+            .strip_suffix('}')
+            .expect("report is an object");
+        let hostile = format!("{head}, \"extra\": {}", "[".repeat(100_000));
+        let err = RunReport::parse(&hostile).unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
     }
 
     #[test]

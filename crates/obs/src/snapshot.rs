@@ -312,7 +312,7 @@ impl TelemetrySnapshot {
         // Scope → field values, in first-seen order (the encoder emits
         // families field-major with a stable scope order, so first-seen
         // order here reproduces the original scope order).
-        let mut counters: Vec<(String, [u64; 30])> = Vec::new();
+        let mut counters: Vec<(String, [u64; Counters::N])> = Vec::new();
         struct HistAcc {
             cum: Vec<(u64, u64)>, // (le, cumulative count), +Inf excluded
             sum: u64,
@@ -387,7 +387,7 @@ impl TelemetrySnapshot {
                 let i = match counters.iter().position(|(s, _)| *s == scope) {
                     Some(i) => i,
                     None => {
-                        counters.push((scope, [0u64; 30]));
+                        counters.push((scope, [0u64; Counters::N]));
                         counters.len() - 1
                     }
                 };
@@ -563,7 +563,7 @@ mod tests {
         (&*rec as &dyn Recorder)
             .sheet(scope)
             .unwrap()
-            .add_bytes_sent(7);
+            .add_to(crate::Counter::bytes_sent, 7);
         let snap = SnapshotEngine::new(rec).snapshot();
         let back = TelemetrySnapshot::from_prometheus(&snap.to_prometheus()).expect("parse");
         assert_eq!(back, snap);

@@ -1,11 +1,14 @@
 //! Properties of the live telemetry plane: the Prometheus exposition
-//! encoder is exactly invertible, and snapshot deltas taken in order
-//! from one live recorder are non-negative in every cell.
+//! encoder is exactly invertible, snapshot deltas taken in order from
+//! one live recorder are non-negative in every cell, and every counter
+//! the table declares survives the sheet, JSON and Prometheus in its
+//! own field.
 
 use std::sync::Arc;
 
+use dbdc_obs::report::{counters_from_json, counters_to_json};
 use dbdc_obs::snapshot::{delta, SnapshotEngine, TelemetrySnapshot};
-use dbdc_obs::{Recorder, RecordingRecorder};
+use dbdc_obs::{Counter, CounterSheet, Counters, Json, Recorder, RecordingRecorder};
 use proptest::prelude::*;
 
 /// A small fixed pool of scope names shaped like the real ones,
@@ -24,16 +27,18 @@ const HIST_SCOPES: [&str; 3] = ["net/frame_write_ns", "net/session_ns", "dsu_bat
 type Op = (usize, usize, u64, u64);
 
 /// Applies `ops` to a live recorder the way instrumented code would:
-/// counter adds spread over several accessor kinds, plus histogram
+/// counter adds spread over several accessor kinds — including
+/// `add_to` on any counter, so every field takes part — plus histogram
 /// samples.
 fn apply_ops(rec: &dyn Recorder, ops: &[Op]) {
     for &(scope, kind, a, b) in ops {
         let sheet = rec.sheet(SCOPES[scope % SCOPES.len()]).unwrap();
-        match kind % 4 {
+        match kind % 5 {
             0 => sheet.add_frame_sent(a, b.min(a)),
             1 => sheet.record_range(a, b),
             2 => sheet.add_retry(std::time::Duration::from_nanos(a)),
-            _ => sheet.add_faults(a % 3, b % 3, a % 2, b % 2),
+            3 => sheet.add_faults(a % 3, b % 3, a % 2, b % 2),
+            _ => sheet.add_to(Counter::ALL[b as usize % Counters::N], a),
         }
         if kind % 3 == 0 {
             rec.hist(HIST_SCOPES[scope % HIST_SCOPES.len()])
@@ -51,7 +56,7 @@ proptest! {
     /// order, every histogram bucket, identity, and uptime.
     #[test]
     fn exposition_round_trip_is_exact(
-        ops in prop::collection::vec((0usize..8, 0usize..8, 0u64..100_000, 0u64..1_000), 0..60),
+        ops in prop::collection::vec((0usize..8, 0usize..10, 0u64..100_000, 0u64..1_000), 0..60),
         with_identity in prop::bool::ANY,
     ) {
         let rec = Arc::new(RecordingRecorder::new());
@@ -77,7 +82,7 @@ proptest! {
     #[test]
     fn delta_is_non_negative_per_cell(
         batches in prop::collection::vec(
-            prop::collection::vec((0usize..8, 0usize..8, 0u64..100_000, 0u64..1_000), 0..10),
+            prop::collection::vec((0usize..8, 0usize..10, 0u64..100_000, 0u64..1_000), 0..10),
             1..8,
         ),
         pick in (0usize..64, 0usize..64),
@@ -114,7 +119,7 @@ proptest! {
         // Adjacent deltas telescope: summing the windows reproduces the
         // endpoints' difference in every counter cell.
         if snaps.len() >= 2 {
-            let mut acc = vec![0u64; 30];
+            let mut acc = vec![0u64; Counters::N];
             for w in snaps.windows(2) {
                 let d = delta(&w[0], &w[1]);
                 for (cell, v) in acc.iter_mut().zip(d.total().values()) {
@@ -123,6 +128,49 @@ proptest! {
             }
             let full = delta(&snaps[0], &snaps[snaps.len() - 1]);
             prop_assert_eq!(acc, full.total().values().to_vec());
+        }
+    }
+}
+
+/// Walks the whole counter table: for each counter a one-hot value
+/// lands in its own field through both `add_to` and a whole-snapshot
+/// `add`, round-trips through the JSON codec and the Prometheus
+/// exposition, and dropping its JSON key fails exactly for the core
+/// fields every schema version carries.
+#[test]
+fn every_counter_round_trips_on_its_own() {
+    for (f, (&id, name)) in Counter::ALL.iter().zip(Counters::FIELDS).enumerate() {
+        let mut v = [0u64; Counters::N];
+        v[f] = 1_000 + f as u64;
+        let one_hot = Counters::from_values(v);
+
+        let by_id = CounterSheet::new();
+        by_id.add_to(id, v[f]);
+        assert_eq!(by_id.snapshot(), one_hot, "add_to({id:?})");
+
+        let rec = Arc::new(RecordingRecorder::new());
+        rec.sheet("scope").unwrap().add(&one_hot);
+        let snap = SnapshotEngine::new(Arc::clone(&rec)).snapshot();
+        assert_eq!(snap.counters_for("scope"), Some(&one_hot), "{name}");
+
+        let json = counters_to_json(&one_hot);
+        assert_eq!(counters_from_json(&json), Ok(one_hot), "{name}");
+        let back = TelemetrySnapshot::from_prometheus(&snap.to_prometheus()).expect("parse");
+        assert_eq!(back.counters_for("scope"), Some(&one_hot), "{name}");
+
+        let Json::Obj(pairs) = json else {
+            panic!("counters serialize as an object")
+        };
+        let without = Json::Obj(pairs.into_iter().filter(|(k, _)| k != name).collect());
+        match counters_from_json(&without) {
+            Err(e) => {
+                assert!(f < Counters::CORE_FIELDS, "{name} is optional: {e}");
+                assert_eq!(e, format!("counters missing {name:?}"));
+            }
+            Ok(c) => {
+                assert!(f >= Counters::CORE_FIELDS, "{name} is required");
+                assert!(c.is_zero(), "{name} reads as 0 when absent");
+            }
         }
     }
 }

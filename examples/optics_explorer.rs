@@ -12,10 +12,11 @@
 //! cargo run --release --example optics_explorer
 //! ```
 
-use dbdc::{build_local_model, DbdcParams, LocalModelKind, Partitioner};
-use dbdc_cluster::{dbscan_with_scp, extract_dbscan, optics, DbscanParams};
+use dbdc::{local_phase, wire, DbdcParams, Partitioner};
+use dbdc_cluster::{extract_dbscan, optics, DbscanParams};
 use dbdc_geom::{Dataset, Euclidean};
 use dbdc_index::LinearScan;
+use dbdc_obs::NoopRecorder;
 
 fn main() {
     let g = dbdc_datagen::dataset_a(2004);
@@ -32,13 +33,8 @@ fn main() {
     let (parts, _) = g.data.partition(sites, &assignment);
     let mut reps = Dataset::new(2);
     for (site, part) in parts.iter().enumerate() {
-        let idx = dbdc_index::build_index(params.index, part, Euclidean, params.eps_local);
-        let scp = dbscan_with_scp(
-            part,
-            idx.as_ref(),
-            &DbscanParams::new(params.eps_local, params.min_pts_local),
-        );
-        let model = build_local_model(LocalModelKind::Scor, part, &scp, site as u32);
+        let local = local_phase(site as u32, part, &params, &NoopRecorder);
+        let model = wire::decode_local_model(&local.encoded).expect("own local model decodes");
         for r in &model.reps {
             reps.push(r.point.coords());
         }

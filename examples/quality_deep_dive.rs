@@ -55,7 +55,7 @@ fn main() {
             ari,
             nmi
         );
-        if worst.as_ref().is_none_or(|(q, _)| p2 < *q) {
+        if worst.as_ref().map_or(true, |(q, _)| p2 < *q) {
             worst = Some((p2, outcome.assignment));
         }
     }
