@@ -16,8 +16,8 @@
 use crate::local_model::LocalModel;
 use crate::params::DbdcParams;
 use dbdc_cluster::{dbscan, DbscanParams};
-use dbdc_geom::{Dataset, Label, Point};
-use dbdc_index::LinearScan;
+use dbdc_geom::{Dataset, Euclidean, Label, Point};
+use dbdc_index::{build_index_opts, BuildOptions};
 
 /// A representative annotated with its global cluster id.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,16 +105,27 @@ pub fn build_global_model_observed(
     let labels = if points.is_empty() {
         Vec::new()
     } else {
-        // The representative set is small (a fraction of the data), so the
-        // linear-scan backend is the right tool here.
-        let mut idx = LinearScan::new(&points, dbdc_geom::Euclidean);
-        if let Some(s) = sheet {
-            idx = idx.observed(s.clone());
-        }
+        // An overflowing `MultipleOfLocal` resolves to +inf; f64::MAX
+        // has the same squared radius (+inf, so every pair is a
+        // neighbour) and keeps the DBSCAN radius and grid cell finite.
+        let eps = eps_global.min(f64::MAX);
+        // The server's index is the sites' backend, but always at f64 on
+        // one build thread: labels depend only on neighbour *sets*, which
+        // every backend's f64 range query shares with the linear scan,
+        // while an f32 scan could change them.
+        let idx = build_index_opts(
+            params.index,
+            &points,
+            Euclidean,
+            eps,
+            BuildOptions::default(),
+            sheet,
+            None,
+        );
         let result = dbscan(
             &points,
-            &idx,
-            &DbscanParams::new(eps_global, params.min_pts_global),
+            idx.as_ref(),
+            &DbscanParams::new(eps, params.min_pts_global),
         );
         result.clustering.labels().to_vec()
     };
@@ -250,6 +261,22 @@ mod tests {
         assert!(g.reps.is_empty());
         let g = build_global_model(&[model(0, vec![])], &params);
         assert_eq!(g.n_clusters, 0);
+    }
+
+    #[test]
+    fn infinite_eps_global_merges_everything_on_every_backend() {
+        // MultipleOfLocal overflows to +inf; no backend may panic on it
+        // (the grid sizes its cells by Eps_global).
+        let m1 = model(0, vec![(0.0, 0.0, 1.5, 0), (4e5, -3.0, 1.5, 1)]);
+        let m2 = model(1, vec![(-7e5, 9.0, 1.5, 0)]);
+        for kind in dbdc_index::IndexKind::ALL {
+            let params = crate::params::DbdcParams::new(1e10, 4)
+                .with_eps_global(EpsGlobal::MultipleOfLocal(1e300))
+                .with_index(kind);
+            let g = build_global_model(&[m1.clone(), m2.clone()], &params);
+            assert_eq!(g.eps_global, f64::INFINITY);
+            assert_eq!(g.n_clusters, 1, "{kind:?}");
+        }
     }
 
     #[test]

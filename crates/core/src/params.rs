@@ -54,7 +54,9 @@ pub struct DbdcParams {
     pub min_pts_global: usize,
     /// Which local model to build.
     pub model: LocalModelKind,
-    /// Spatial index backend for the local DBSCAN runs.
+    /// Spatial index backend for the local DBSCAN runs and the server's
+    /// global DBSCAN over the representatives (which always runs at f64
+    /// on one build thread).
     pub index: IndexKind,
     /// Worker threads for each DBSCAN run (local phases and the central
     /// baseline). `1` runs the classic sequential algorithm; any other

@@ -17,10 +17,21 @@
 //! the coverage tests in `local_model`), but a defensive fallback assigns
 //! stragglers — e.g. under float round-off — to the global cluster of their
 //! local cluster's first representative.
+//!
+//! The representatives sit in a [`GridIndex`] with cells as wide as the
+//! largest ε-range, so an object's candidates lie in the cells around it.
+//! Each occupied cell is tagged once per call with its one global cluster,
+//! or as mixed. When every cell around an object carries the same cluster
+//! `G`, the nearest covering representative is in `G` whichever one it is,
+//! so the scan stops at the first covering representative; elsewhere it
+//! finds the nearest one, scanning the cells in the grid's query order and
+//! keeping the first of equally near representatives.
 
 use crate::global_model::GlobalModel;
+use dbdc_geom::metric::BATCH_LANES;
 use dbdc_geom::{Clustering, Dataset, Euclidean, Label, Metric};
-use dbdc_index::{GridIndex, NeighborIndex};
+use dbdc_index::{GridCell, GridIndex};
+use dbdc_obs::Counter;
 
 /// Relabels one site's objects against the global model.
 ///
@@ -32,8 +43,8 @@ pub fn relabel_site(site_data: &Dataset, local: &Clustering, global: &GlobalMode
 }
 
 /// [`relabel_site`] with an optional [`dbdc_obs::CounterSheet`] recording
-/// the range queries and distance evaluations against the representative
-/// index.
+/// the work against the representative grid: one range query per object,
+/// the surrogate distances computed, and the occupied cells probed.
 pub fn relabel_site_observed(
     site_data: &Dataset,
     local: &Clustering,
@@ -49,8 +60,9 @@ pub fn relabel_site_observed(
         return Clustering::all_noise(site_data.len());
     }
 
-    // Spatial index over the representative points: query with the largest
-    // ε-range, then filter each candidate by its own range.
+    // Grid over the representative points with cells as wide as the
+    // largest ε-range: every representative within that range of an
+    // object is a candidate, then filtered by its own range.
     let mut rep_points = Dataset::new(global.dim);
     for r in &global.reps {
         rep_points.push(r.point.coords());
@@ -60,21 +72,55 @@ pub fn relabel_site_observed(
         .iter()
         .map(|r| r.eps_range)
         .fold(0.0f64, f64::max);
-    let mut grid = GridIndex::new(&rep_points, Euclidean, max_range.max(f64::MIN_POSITIVE));
-    if let Some(s) = sheet {
-        grid = grid.observed(s.clone());
-    }
+    let grid = GridIndex::new(&rep_points, Euclidean, max_range.max(f64::MIN_POSITIVE));
+    let bound = Euclidean.to_surrogate(max_range);
+    // Per cell: its one global cluster, or `None` when it mixes several.
+    let tags: Vec<Option<u32>> = grid
+        .cells()
+        .map(|c| {
+            let g = global.reps[c.ids[0] as usize].global_cluster;
+            c.ids
+                .iter()
+                .all(|&i| global.reps[i as usize].global_cluster == g)
+                .then_some(g)
+        })
+        .collect();
 
     let mut labels = Vec::with_capacity(site_data.len());
-    let mut candidates = Vec::new();
+    let mut cells: Vec<GridCell<'_>> = Vec::new();
+    let mut surrogates = [0.0f64; BATCH_LANES];
+    let (mut evals, mut probed) = (0u64, 0u64);
     for (i, p) in site_data.iter().enumerate() {
-        grid.range(p, max_range, &mut candidates);
+        cells.clear();
+        probed += grid.visit_cells(p, max_range, |c| cells.push(c));
+        // When every cell around the object holds the same one cluster,
+        // any covering representative is in the nearest one's cluster.
+        let first = cells.first().and_then(|c| tags[c.rank]);
+        let single = first.is_some() && cells.iter().all(|c| tags[c.rank] == first);
         let mut best: Option<(f64, u32)> = None;
-        for &c in &candidates {
-            let rep = &global.reps[c as usize];
-            let d = Euclidean.dist(p, rep.point.coords());
-            if d <= rep.eps_range && best.map_or(true, |(bd, _)| d < bd) {
-                best = Some((d, rep.global_cluster));
+        'scan: for c in &cells {
+            let n = c.ids.len();
+            let mut k0 = 0;
+            // One kernel lane width at a time, so stopping at the first
+            // covering representative computes at most a lane past it.
+            while k0 < n {
+                let m = BATCH_LANES.min(n - k0);
+                Euclidean.surrogate_batch(p, &c.cols[k0..], n, m, &mut surrogates[..m]);
+                evals += m as u64;
+                for (k, &s) in surrogates[..m].iter().enumerate() {
+                    if s > bound {
+                        continue;
+                    }
+                    let rep = &global.reps[c.ids[k0 + k] as usize];
+                    let d = s.sqrt();
+                    if d <= rep.eps_range && best.map_or(true, |(bd, _)| d < bd) {
+                        best = Some((d, rep.global_cluster));
+                        if single {
+                            break 'scan;
+                        }
+                    }
+                }
+                k0 += m;
             }
         }
         let label = match best {
@@ -94,6 +140,11 @@ pub fn relabel_site_observed(
             },
         };
         labels.push(label);
+    }
+    if let Some(s) = sheet {
+        s.add_to(Counter::range_queries, site_data.len() as u64);
+        s.add_to(Counter::distance_evals, evals);
+        s.add_to(Counter::node_visits, probed);
     }
     // NOTE: ids are global cluster ids shared across sites; do not densify
     // here or sites would disagree. Densification happens when the runtime

@@ -159,7 +159,8 @@ pub fn server_phase<U: AsRef<[u8]>>(
 /// then relabel the site's points `data` from their `local` clustering.
 /// The received bytes and the relabel's index work land in `rec`'s
 /// `relabel[site]` scope. Returns the decoded global model and the
-/// final labels.
+/// final labels, or [`WireError::ModelDimMismatch`] if a non-empty
+/// model's dimensionality is not the data's.
 pub fn relabel_phase(
     site: u32,
     data: &Dataset,
@@ -169,9 +170,65 @@ pub fn relabel_phase(
 ) -> Result<(GlobalModel, Clustering), WireError> {
     let sheet = rec.sheet(&format!("relabel[{site}]"));
     let global = wire::decode_global_model(broadcast)?;
+    if !global.reps.is_empty() && global.dim != data.dim() {
+        return Err(WireError::ModelDimMismatch {
+            model: global.dim,
+            data: data.dim(),
+        });
+    }
     if let Some(s) = &sheet {
         s.add_to(Counter::bytes_received, broadcast.len() as u64);
     }
     let labels = relabel_site_observed(data, local, &global, sheet.as_ref());
     Ok((global, labels))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::global_model::GlobalRep;
+    use dbdc_geom::{Label, Point};
+    use dbdc_obs::NoopRecorder;
+
+    fn broadcast(dim: usize, n_reps: usize) -> Bytes {
+        let reps = (0..n_reps)
+            .map(|i| GlobalRep {
+                point: Point::from(vec![i as f64; dim]),
+                eps_range: 1.0,
+                site: 0,
+                local_cluster: 0,
+                global_cluster: 0,
+            })
+            .collect();
+        let global = GlobalModel {
+            dim,
+            reps,
+            n_clusters: n_reps.min(1) as u32,
+            eps_global: 2.0,
+        };
+        wire::encode_global_model(&global).expect("fits the wire format")
+    }
+
+    #[test]
+    fn relabel_rejects_a_broadcast_of_another_dimension() {
+        let data = Dataset::from_flat(2, vec![0.0, 0.0, 1.0, 1.0]);
+        let local = Clustering::from_labels(vec![Label::Cluster(0), Label::Noise]);
+        for dim in [1, 3] {
+            let got = relabel_phase(0, &data, &local, &broadcast(dim, 2), &NoopRecorder);
+            assert_eq!(
+                got.err(),
+                Some(WireError::ModelDimMismatch {
+                    model: dim,
+                    data: 2
+                })
+            );
+        }
+        // An empty model carries no points to compare, whatever its dim.
+        let (_, labels) = relabel_phase(0, &data, &local, &broadcast(3, 0), &NoopRecorder)
+            .expect("an empty global model is accepted");
+        assert!(labels.labels().iter().all(|l| l.is_noise()));
+        let (_, labels) = relabel_phase(0, &data, &local, &broadcast(2, 2), &NoopRecorder)
+            .expect("matching dimensions relabel");
+        assert_eq!(labels.label(0), Label::Cluster(0));
+    }
 }

@@ -65,6 +65,14 @@ pub enum WireError {
         /// The representative's actual dimensionality.
         got: usize,
     },
+    /// A non-empty global model's dimensionality differs from the
+    /// relabeling site's data: its points cannot be compared.
+    ModelDimMismatch {
+        /// The broadcast model's dimensionality.
+        model: usize,
+        /// The site's data dimensionality.
+        data: usize,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -82,6 +90,12 @@ impl std::fmt::Display for WireError {
             }
             WireError::DimMismatch { expected, got } => {
                 write!(f, "representative has dim {got}, model declares {expected}")
+            }
+            WireError::ModelDimMismatch { model, data } => {
+                write!(
+                    f,
+                    "global model has dim {model}, the site's data has dim {data}"
+                )
             }
         }
     }

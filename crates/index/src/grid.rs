@@ -9,10 +9,17 @@
 //!
 //! Cell membership lives in a `HashMap` keyed by cell coordinates, but the
 //! points themselves are packed into two shared arenas — ids plus per-cell
-//! structure-of-arrays coordinate blocks (cells packed in lexicographic key
-//! order, per-cell insertion order preserved) — so scanning a cell is one
-//! batched [`Metric::surrogate_batch`] kernel call over contiguous memory
-//! and steady-state range queries allocate nothing.
+//! structure-of-arrays coordinate blocks (cells packed in colexicographic
+//! key order, the order queries visit them; per-cell insertion order
+//! preserved) — so scanning a cell is one batched
+//! [`Metric::surrogate_batch`] kernel call over contiguous memory and
+//! steady-state range queries allocate nothing.
+//!
+//! A query walks the cell lattice of its box with an odometer and looks
+//! each cell up. When that lattice holds more cells than are occupied —
+//! a radius many cells wide, or a sparse grid — it instead filters the
+//! occupied cells' colex-sorted keys, so no query probes more cells than
+//! the grid holds. Both walks visit the same cells in the same order.
 //!
 //! Correct for every Lp metric: the ε-ball under any Lp (p ≥ 1) is contained
 //! in the L∞ box of radius ε, so scanning the cells that intersect that box
@@ -30,39 +37,49 @@ use std::sync::Arc;
 /// stack; higher dimensions fall back to heap scratch per query.
 const STACK_DIM: usize = 16;
 
-/// One occupied cell's slice of the packed arenas.
-#[derive(Debug, Clone, Copy)]
-struct CellBlock {
-    /// First point of the cell in the `ids` arena.
-    start: u32,
-    /// Number of points in the cell.
-    len: u32,
-    /// Offset of the cell's SoA block in the `coords` arena
-    /// (coordinate `d` of the block's `k`-th point at
-    /// `coords + d * len + k`).
-    coords: u32,
-}
-
 /// A uniform grid over a dataset.
 #[derive(Debug, Clone)]
 pub struct GridIndex<'a, M> {
     data: &'a Dataset,
     metric: M,
     cell: f64,
-    /// Cell coordinates -> packed block. A HashMap keeps memory
-    /// proportional to the number of *occupied* cells, so sparse or
-    /// clustered data does not explode the grid.
-    cells: HashMap<Box<[i64]>, CellBlock>,
-    /// Point ids, cell by cell (cells in lexicographic key order).
+    /// Cell coordinates -> the cell's rank among the occupied cells. A
+    /// HashMap keeps memory proportional to the number of *occupied*
+    /// cells, so sparse or clustered data does not explode the grid.
+    rank_of: HashMap<Box<[i64]>, u32>,
+    /// The occupied cells' coordinates, `dim` per cell, by rank: cells
+    /// are ranked in colexicographic key order (last coordinate most
+    /// significant), which is the odometer's visiting order.
+    keys: Vec<i64>,
+    /// Cell `r`'s points are `ids[offsets[r]..offsets[r + 1]]`; one
+    /// more entry than there are occupied cells.
+    offsets: Vec<u32>,
+    /// Point ids, cell by cell in rank order.
     ids: Vec<u32>,
-    /// Per-cell SoA coordinate blocks, same order as `ids`. Empty when
-    /// the grid was built with [`Precision::F32`].
+    /// Per-cell SoA coordinate blocks, same order as `ids`: coordinate
+    /// `d` of cell `r`'s `k`-th point at `dim * offsets[r] + d * len + k`.
+    /// Empty when the grid was built with [`Precision::F32`].
     coords: Vec<f64>,
     /// `f32` twin of `coords`, populated instead of it under
     /// [`Precision::F32`].
     coords32: Vec<f32>,
     precision: Precision,
     sheet: Option<Arc<CounterSheet>>,
+}
+
+/// One occupied cell of a [`GridIndex`], as [`GridIndex::cells`] and
+/// [`GridIndex::visit_cells`] hand it out.
+#[derive(Debug, Clone, Copy)]
+pub struct GridCell<'g> {
+    /// The cell's rank, `0..occupied_cells()`: a stable id for per-cell
+    /// side tables.
+    pub rank: usize,
+    /// The cell's point ids, in insertion (ascending id) order.
+    pub ids: &'g [u32],
+    /// The cell's coordinates, structure-of-arrays: coordinate `d` of
+    /// `ids[k]` at `cols[d * ids.len() + k]`, ready for
+    /// [`Metric::surrogate_batch`] with stride `ids.len()`.
+    pub cols: &'g [f64],
 }
 
 /// Packs a run of buckets into the given disjoint arena slices; the
@@ -127,22 +144,20 @@ impl<'a, M: Metric> GridIndex<'a, M> {
         // Pack cells in sorted key order so the arena layout (and with
         // it any cache behavior) is deterministic regardless of hash
         // seeding; per-cell order stays insertion (ascending id) order.
+        // Colexicographic order is the odometer's, so a query's cells
+        // sit in the arenas in the order it scans them.
         let mut buckets: Vec<(Box<[i64]>, Vec<u32>)> = buckets.into_iter().collect();
-        buckets.sort_by(|a, b| a.0.cmp(&b.0));
+        buckets.sort_by(|a, b| a.0.iter().rev().cmp(b.0.iter().rev()));
         let dim = data.dim();
         let n = data.len();
-        let mut cells = HashMap::with_capacity(buckets.len());
-        let mut off = 0u32;
-        for (key, pts) in &buckets {
-            cells.insert(
-                key.clone(),
-                CellBlock {
-                    start: off,
-                    len: pts.len() as u32,
-                    coords: off * dim as u32,
-                },
-            );
-            off += pts.len() as u32;
+        let mut rank_of = HashMap::with_capacity(buckets.len());
+        let mut keys = Vec::with_capacity(buckets.len() * dim);
+        let mut offsets = Vec::with_capacity(buckets.len() + 1);
+        offsets.push(0u32);
+        for (rank, (key, pts)) in buckets.iter().enumerate() {
+            rank_of.insert(key.clone(), rank as u32);
+            keys.extend_from_slice(key);
+            offsets.push(offsets[rank] + pts.len() as u32);
         }
         let mut ids = vec![0u32; n];
         let mut coords = vec![0.0f64; n * dim];
@@ -180,7 +195,9 @@ impl<'a, M: Metric> GridIndex<'a, M> {
             data,
             metric,
             cell,
-            cells,
+            rank_of,
+            keys,
+            offsets,
             ids,
             coords,
             coords32: Vec::new(),
@@ -198,13 +215,8 @@ impl<'a, M: Metric> GridIndex<'a, M> {
     /// pattern. Test hook for the construction-identity gate.
     #[doc(hidden)]
     pub fn arena_bits(&self) -> Vec<u64> {
-        let mut v = Vec::new();
-        let mut entries: Vec<_> = self.cells.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        for (k, b) in entries {
-            v.extend(k.iter().map(|&c| c as u64));
-            v.extend_from_slice(&[b.start as u64, b.len as u64, b.coords as u64]);
-        }
+        let mut v: Vec<u64> = self.keys.iter().map(|&c| c as u64).collect();
+        v.extend(self.offsets.iter().map(|&o| o as u64));
         v.extend(self.ids.iter().map(|&i| i as u64));
         v.extend(self.coords.iter().map(|c| c.to_bits()));
         v.extend(self.coords32.iter().map(|c| c.to_bits() as u64));
@@ -228,15 +240,58 @@ impl<'a, M: Metric> GridIndex<'a, M> {
 
     /// Number of occupied cells.
     pub fn occupied_cells(&self) -> usize {
-        self.cells.len()
+        self.offsets.len() - 1
     }
 
-    /// Visits every occupied cell intersecting the L∞ box of radius `r`
-    /// around `q`, in odometer (lexicographic lattice) order. Returns
-    /// the number of occupied cells probed (the node-visit count for
-    /// this index).
-    fn for_cells(&self, q: &[f64], r: f64, mut f: impl FnMut(CellBlock)) -> u64 {
+    /// Cell `rank`'s span of the `ids` arena.
+    fn span(&self, rank: usize) -> std::ops::Range<usize> {
+        self.offsets[rank] as usize..self.offsets[rank + 1] as usize
+    }
+
+    fn view(&self, rank: usize) -> GridCell<'_> {
+        let span = self.span(rank);
         let dim = self.data.dim();
+        GridCell {
+            rank,
+            cols: &self.coords[dim * span.start..dim * span.end],
+            ids: &self.ids[span],
+        }
+    }
+
+    /// Every occupied cell, by rank.
+    ///
+    /// # Panics
+    /// Panics if the grid was built with [`Precision::F32`], which keeps
+    /// no `f64` coordinates.
+    pub fn cells(&self) -> impl Iterator<Item = GridCell<'_>> + '_ {
+        assert_eq!(self.precision, Precision::F64, "cell views are f64");
+        (0..self.occupied_cells()).map(|rank| self.view(rank))
+    }
+
+    /// Calls `f` with every occupied cell intersecting the L∞ box of
+    /// radius `r` around `q`, in the order an ε-range query scans them,
+    /// and returns their number — what a range query records as node
+    /// visits. Allocation-free, and unobserved: a caller scanning the
+    /// cells itself records its own work.
+    ///
+    /// # Panics
+    /// Panics if the grid was built with [`Precision::F32`], which keeps
+    /// no `f64` coordinates.
+    pub fn visit_cells<'s>(&'s self, q: &[f64], r: f64, mut f: impl FnMut(GridCell<'s>)) -> u64 {
+        assert_eq!(self.precision, Precision::F64, "cell views are f64");
+        self.for_cells(q, r, |rank| f(self.view(rank)))
+    }
+
+    /// Visits the rank of every occupied cell intersecting the L∞ box of
+    /// radius `r` around `q`, in odometer (colexicographic lattice)
+    /// order. Returns the number of occupied cells probed (the
+    /// node-visit count for this index).
+    fn for_cells(&self, q: &[f64], r: f64, mut f: impl FnMut(usize)) -> u64 {
+        let dim = self.data.dim();
+        let occupied = self.occupied_cells();
+        if occupied == 0 {
+            return 0;
+        }
         let mut stack = [0i64; 3 * STACK_DIM];
         let mut heap;
         let buf: &mut [i64] = if dim <= STACK_DIM {
@@ -248,18 +303,50 @@ impl<'a, M: Metric> GridIndex<'a, M> {
         let (lo, rest) = buf.split_at_mut(dim);
         let (hi, cur) = rest.split_at_mut(rest.len() / 2);
         let (hi, cur) = (&mut hi[..dim], &mut cur[..dim]);
+        // Lattice cells in the box; saturates for unbounded radii.
+        let mut lattice = 1u128;
         for i in 0..dim {
             lo[i] = ((q[i] - r) / self.cell).floor() as i64;
             hi[i] = ((q[i] + r) / self.cell).floor() as i64;
             cur[i] = lo[i];
+            let side = (hi[i] as i128 - lo[i] as i128 + 1).max(0) as u128;
+            lattice = lattice.saturating_mul(side);
+        }
+        let mut visited = 0u64;
+        if lattice > occupied as u128 {
+            // More lattice cells than occupied ones: filter the occupied
+            // keys instead. Colex order makes the cells inside the box's
+            // last-coordinate slab one contiguous run of ranks, already
+            // in odometer order.
+            let last = dim - 1;
+            let key = |rank: usize| &self.keys[rank * dim..(rank + 1) * dim];
+            let (mut a, mut b) = (0, occupied);
+            while a < b {
+                let m = a + (b - a) / 2;
+                if key(m)[last] < lo[last] {
+                    a = m + 1;
+                } else {
+                    b = m;
+                }
+            }
+            for rank in a..occupied {
+                let k = key(rank);
+                if k[last] > hi[last] {
+                    break;
+                }
+                if (0..last).all(|d| lo[d] <= k[d] && k[d] <= hi[d]) {
+                    visited += 1;
+                    f(rank);
+                }
+            }
+            return visited;
         }
         // Iterate the (hi-lo+1)^dim cell lattice with an odometer; dim is
         // small (2-3) in this workspace so this stays cheap.
-        let mut visited = 0u64;
         'outer: loop {
-            if let Some(&block) = self.cells.get(&cur[..]) {
+            if let Some(&rank) = self.rank_of.get(&cur[..]) {
                 visited += 1;
-                f(block);
+                f(rank as usize);
             }
             for d in 0..dim {
                 if cur[d] < hi[d] {
@@ -291,15 +378,18 @@ impl<M: Metric> NeighborIndex for GridIndex<'_, M> {
             Precision::F64 => None,
         };
         let mut evals = 0u64;
-        let visits = self.for_cells(q, eps, |b| {
-            evals += b.len as u64;
-            let (start, len, coords) = (b.start as usize, b.len as usize, b.coords as usize);
+        let dim = self.data.dim();
+        let visits = self.for_cells(q, eps, |rank| {
+            let span = self.span(rank);
+            let len = span.len();
+            evals += len as u64;
+            let cols = dim * span.start..dim * span.end;
             match &q32 {
                 None => scan_block(
                     &self.metric,
                     q,
-                    &self.ids[start..start + len],
-                    &self.coords[coords..coords + self.data.dim() * len],
+                    &self.ids[span],
+                    &self.coords[cols],
                     len,
                     bound,
                     out,
@@ -307,8 +397,8 @@ impl<M: Metric> NeighborIndex for GridIndex<'_, M> {
                 Some(q32) => scan_block_f32(
                     &self.metric,
                     q32.as_slice(),
-                    &self.ids[start..start + len],
-                    &self.coords32[coords..coords + self.data.dim() * len],
+                    &self.ids[span],
+                    &self.coords32[cols],
                     len,
                     bound as f32,
                     out,
@@ -332,9 +422,10 @@ impl<M: Metric> NeighborIndex for GridIndex<'_, M> {
         let mut visits = 0u64;
         loop {
             let mut heap: BinaryHeap<(F64, u32)> = BinaryHeap::with_capacity(k + 1);
-            visits += self.for_cells(q, r, |b| {
-                evals += b.len as u64;
-                for &i in &self.ids[b.start as usize..(b.start + b.len) as usize] {
+            visits += self.for_cells(q, r, |rank| {
+                let ids = &self.ids[self.span(rank)];
+                evals += ids.len() as u64;
+                for &i in ids {
                     let d = self.metric.dist(q, self.data.point(i));
                     if heap.len() < k {
                         heap.push((F64(d), i));
@@ -402,6 +493,69 @@ mod tests {
         let d = testutil::random_dataset(100, 3);
         let idx = GridIndex::new(&d, Euclidean, 0.05);
         testutil::check_against_linear(&idx, &d, Euclidean);
+    }
+
+    #[test]
+    fn both_cell_walks_keep_odometer_order_and_counts() {
+        // Small radii walk the box's cell lattice, large ones filter the
+        // occupied keys. Either way a query must return its hits cell by
+        // cell in colexicographic cell order (ascending id within a
+        // cell) and probe exactly the occupied cells inside its box.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(61);
+        for dim in [2usize, 3] {
+            let mut d = Dataset::new(dim);
+            for _ in 0..300 {
+                let p: Vec<f64> = (0..dim).map(|_| rng.random_range(-50.0..50.0)).collect();
+                d.push(&p);
+            }
+            for cell in [0.5, 2.0, 7.0] {
+                let sheet = Arc::new(CounterSheet::new());
+                let idx = GridIndex::new(&d, Euclidean, cell).observed(sheet.clone());
+                // Reversed cell coordinates compare lexicographically in
+                // colex order.
+                let colex = |p: &[f64]| -> Vec<i64> {
+                    p.iter().rev().map(|&c| (c / cell).floor() as i64).collect()
+                };
+                let mut walks = [0usize; 2];
+                let mut out = Vec::new();
+                for q in d.iter().step_by(23) {
+                    for eps in [0.3, 1.0, 4.0, 15.0, 60.0] {
+                        let lo = colex(&q.iter().map(|c| c - eps).collect::<Vec<_>>());
+                        let hi = colex(&q.iter().map(|c| c + eps).collect::<Vec<_>>());
+                        let in_box = |k: &[i64]| (0..dim).all(|i| lo[i] <= k[i] && k[i] <= hi[i]);
+                        let lattice: i64 = (0..dim).map(|i| hi[i] - lo[i] + 1).product();
+                        walks[usize::from(lattice as usize > idx.occupied_cells())] += 1;
+
+                        let mut want: Vec<(Vec<i64>, u32)> = (0..d.len() as u32)
+                            .filter(|&i| {
+                                Euclidean.surrogate(q, d.point(i)) <= Euclidean.to_surrogate(eps)
+                            })
+                            .map(|i| (colex(d.point(i)), i))
+                            .collect();
+                        want.sort();
+                        let keys: Vec<Vec<i64>> =
+                            d.iter().map(colex).filter(|k| in_box(k)).collect();
+                        let mut cells = keys.clone();
+                        cells.sort();
+                        cells.dedup();
+
+                        let before = sheet.snapshot();
+                        idx.range(q, eps, &mut out);
+                        let after = sheet.snapshot();
+                        let want: Vec<u32> = want.into_iter().map(|(_, i)| i).collect();
+                        assert_eq!(out, want, "dim={dim} cell={cell} eps={eps}");
+                        assert_eq!(after.node_visits - before.node_visits, cells.len() as u64);
+                        assert_eq!(
+                            after.distance_evals - before.distance_evals,
+                            keys.len() as u64
+                        );
+                    }
+                }
+                assert!(walks[0] > 0 && walks[1] > 0, "both walks ran: {walks:?}");
+            }
+        }
     }
 
     #[test]

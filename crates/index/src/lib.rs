@@ -22,7 +22,7 @@ pub mod vptree;
 use dbdc_geom::{Dataset, Metric};
 
 pub use dbdc_geom::Precision;
-pub use grid::GridIndex;
+pub use grid::{GridCell, GridIndex};
 pub use kdtree::KdTree;
 pub use latency::LatencyObserved;
 pub use linear::LinearScan;

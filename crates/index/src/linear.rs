@@ -1,9 +1,8 @@
 //! Brute-force linear scan.
 //!
 //! `O(n)` per query with no build cost. It is the correctness oracle every
-//! other index is tested against, the baseline in the index ablation
-//! benchmark, and the sensible choice for the tiny representative sets the
-//! DBDC server clusters.
+//! other index is tested against and the baseline in the index ablation
+//! benchmark.
 
 use crate::NeighborIndex;
 use dbdc_geom::{Dataset, Metric};
