@@ -11,12 +11,12 @@
 use dbdc::observe::cluster_stats;
 use dbdc::{
     central_dbscan_recorded, dbdc_run_report, q_dbdc, run_dbdc_recorded,
-    run_dbdc_threaded_recorded, DbdcParams, EpsGlobal, ObjectQuality, Partitioner,
+    run_dbdc_threaded_recorded, EpsGlobal, ObjectQuality, Partitioner,
 };
 use dbdc_cli::args::Args;
 use dbdc_cli::opts::{
-    build_params, finish_report, no_positionals, parse_link, parse_partitioner, quality_stats,
-    read_input, wants_report, CliResult,
+    build_params, eps_global_choice, finish_report, local_params, no_positionals, parse_link,
+    parse_partitioner, quality_stats, read_input, require_sites, wants_report, CliResult,
 };
 use dbdc_cli::{csv, netcmd};
 use dbdc_geom::Dataset;
@@ -254,7 +254,7 @@ fn cmd_central(raw: &[String]) -> CliResult {
     )?;
     no_positionals(&args)?;
     let data = read_input(&args)?;
-    let params = DbdcParams::new(args.require_as("eps")?, args.require_as("min-pts")?)
+    let params = local_params(&args)?
         .with_index(args.get_or("index", dbdc_index::IndexKind::RStar)?)
         .with_threads(args.get_or("threads", 1)?);
     let wants = wants_report(&args);
@@ -317,7 +317,7 @@ fn cmd_run(raw: &[String]) -> CliResult {
     no_positionals(&args)?;
     let data = read_input(&args)?;
     let params = build_params(&args)?;
-    let sites: usize = args.require_as("sites")?;
+    let sites = require_sites(&args)?;
     let seed: u64 = args.get_or("seed", 42)?;
     let part = parse_partitioner(&args, seed)?;
     let link = parse_link(&args)?;
@@ -464,7 +464,7 @@ fn cmd_compare(raw: &[String]) -> CliResult {
     no_positionals(&args)?;
     let data = read_input(&args)?;
     let params = build_params(&args)?;
-    let sites: usize = args.require_as("sites")?;
+    let sites = require_sites(&args)?;
     let seed: u64 = args.get_or("seed", 42)?;
     let link = parse_link(&args)?;
     let wants = wants_report(&args);
@@ -567,20 +567,13 @@ fn cmd_tune(raw: &[String]) -> CliResult {
     no_positionals(&args)?;
     let data = read_input(&args)?;
     let base = build_params(&args)?;
-    let sites: usize = args.require_as("sites")?;
+    let sites = require_sites(&args)?;
     let seed: u64 = args.get_or("seed", 42)?;
     let part = parse_partitioner(&args, seed)?;
     let spec = args.get("candidates").unwrap_or(TUNE_CANDIDATES);
     let mut candidates: Vec<(String, EpsGlobal)> = Vec::new();
     for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        let eg =
-            match tok {
-                "max" => EpsGlobal::MaxEpsRange,
-                v => EpsGlobal::MultipleOfLocal(v.parse().map_err(|_| {
-                    format!("--candidates expects multipliers or \"max\", got {v:?}")
-                })?),
-            };
-        candidates.push((tok.to_string(), eg));
+        candidates.push((tok.to_string(), eps_global_choice("candidates", tok)?));
     }
     if candidates.is_empty() {
         return Err("--candidates is empty".into());
@@ -689,7 +682,7 @@ fn cmd_plot(raw: &[String]) -> CliResult {
     let t0 = Instant::now();
     let clustering = match (args.get("eps"), args.get("min-pts")) {
         (Some(_), Some(_)) => {
-            let params = DbdcParams::new(args.require_as("eps")?, args.require_as("min-pts")?)
+            let params = local_params(&args)?
                 .with_index(args.get_or("index", dbdc_index::IndexKind::RStar)?);
             let (result, _) = central_dbscan_recorded(&data, &params, recorder);
             println!(
@@ -803,14 +796,10 @@ fn cmd_stream(raw: &[String]) -> CliResult {
     )?;
     no_positionals(&args)?;
     let data = read_input(&args)?;
-    let params = DbdcParams::new(args.require_as("eps")?, args.require_as("min-pts")?)
-        .with_eps_global(EpsGlobal::MultipleOfLocal(2.0));
-    let sites: usize = args.require_as("sites")?;
+    let params = local_params(&args)?.with_eps_global(EpsGlobal::MultipleOfLocal(2.0));
+    let sites = require_sites(&args)?;
     let batch: usize = args.get_or("batch", 200)?;
     let drift_threshold: f64 = args.get_or("drift", 0.1)?;
-    if sites == 0 {
-        return Err("need at least one site".into());
-    }
     let t0 = Instant::now();
     let mut clients: Vec<dbdc::ClientSession> = (0..sites)
         .map(|s| dbdc::ClientSession::new(s as u32, data.dim(), params))
@@ -1080,6 +1069,23 @@ fn cmd_report_diff(args: &Args) -> CliResult {
     }
     let old = load_report(old_path)?;
     let new = load_report(new_path)?;
+    // Timings from another core count or toolchain are not like-for-like;
+    // say so, but leave the verdict to the cells.
+    if let (Some(a), Some(b)) = (&old.env, &new.env) {
+        let mut moved = Vec::new();
+        if a.nproc != b.nproc {
+            moved.push(format!("nproc {} vs {}", a.nproc, b.nproc));
+        }
+        if a.rustc != b.rustc {
+            moved.push(format!("{} vs {}", a.rustc, b.rustc));
+        }
+        if !moved.is_empty() {
+            eprintln!(
+                "warning: not a like-for-like comparison: {}",
+                moved.join(", ")
+            );
+        }
+    }
     let mut rows = dbdc_obs::diff_reports_with(&old, &new, threshold, quality_tolerance);
     // `--only SUBSTR` narrows the gate to matching cells (e.g. CI fails
     // on `eps_range_ns` regressions while the full diff stays advisory).

@@ -19,7 +19,7 @@
 use crate::args::Args;
 use crate::opts::{
     build_params, finish_report, no_positionals, parse_partitioner, quality_stats, read_input,
-    wants_report, CliResult,
+    require_sites, wants_report, CliResult,
 };
 use dbdc_geom::{Clustering, Dataset, Label};
 use dbdc_net::http_get;
@@ -156,10 +156,7 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
     )?;
     no_positionals(&args)?;
     let params = build_params(&args)?;
-    let n_sites: usize = args.require_as("sites")?;
-    if n_sites == 0 {
-        return Err("need at least one site".into());
-    }
+    let n_sites = require_sites(&args)?;
     let bind = args.get("bind").unwrap_or("127.0.0.1:0");
     let listener = TcpListener::bind(bind).map_err(|e| format!("cannot bind {bind}: {e}"))?;
     let addr = listener.local_addr()?;
@@ -337,8 +334,8 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
     let data = read_input(&args)?;
     let params = build_params(&args)?;
     let site: u32 = args.require_as("site")?;
-    let n_sites: usize = args.require_as("sites")?;
-    if n_sites == 0 || site as usize >= n_sites {
+    let n_sites = require_sites(&args)?;
+    if site as usize >= n_sites {
         return Err(format!("--site {site} out of range for --sites {n_sites}").into());
     }
     let seed: u64 = args.get_or("seed", 42)?;

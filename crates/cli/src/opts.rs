@@ -87,17 +87,48 @@ pub fn read_input(args: &Args) -> Result<Dataset, Box<dyn std::error::Error>> {
     Ok(csv::read_dataset(BufReader::new(file))?)
 }
 
-/// Parses `--eps-global` (a multiplier of `--eps`, or `max`).
+/// Parses `--eps-global` (a positive multiplier of `--eps`, or `max`).
 pub fn parse_eps_global(args: &Args) -> Result<EpsGlobal, Box<dyn std::error::Error>> {
     match args.get("eps-global") {
         None => Ok(EpsGlobal::MultipleOfLocal(2.0)),
-        Some("max") => Ok(EpsGlobal::MaxEpsRange),
-        Some(v) => {
-            let mult: f64 = v
-                .parse()
-                .map_err(|_| format!("--eps-global expects a multiplier or \"max\", got {v:?}"))?;
-            Ok(EpsGlobal::MultipleOfLocal(mult))
-        }
+        Some(v) => Ok(eps_global_choice("eps-global", v)?),
+    }
+}
+
+/// One `Eps_global` choice given to `--{flag}`: `max`, or a positive
+/// finite multiplier of `--eps`.
+pub fn eps_global_choice(flag: &str, v: &str) -> Result<EpsGlobal, String> {
+    if v == "max" {
+        return Ok(EpsGlobal::MaxEpsRange);
+    }
+    match v.parse::<f64>() {
+        Ok(mult) if mult.is_finite() && mult > 0.0 => Ok(EpsGlobal::MultipleOfLocal(mult)),
+        _ => Err(format!(
+            "--{flag} expects a positive multiplier or \"max\", got {v:?}"
+        )),
+    }
+}
+
+/// [`DbdcParams::new`] from `--eps` and `--min-pts`, rejecting the
+/// values it would panic on: ε must be positive and finite, MinPts at
+/// least 1.
+pub fn local_params(args: &Args) -> Result<DbdcParams, Box<dyn std::error::Error>> {
+    let eps: f64 = args.require_as("eps")?;
+    if !(eps.is_finite() && eps > 0.0) {
+        return Err(format!("--eps expects a positive finite distance, got {eps}").into());
+    }
+    let min_pts: usize = args.require_as("min-pts")?;
+    if min_pts == 0 {
+        return Err("--min-pts expects at least 1, got 0".into());
+    }
+    Ok(DbdcParams::new(eps, min_pts))
+}
+
+/// Parses `--sites`, which must be at least 1.
+pub fn require_sites(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
+    match args.require_as("sites")? {
+        0 => Err("--sites expects at least 1 site, got 0".into()),
+        sites => Ok(sites),
     }
 }
 
@@ -128,13 +159,11 @@ pub fn parse_partitioner(
 /// Builds the full [`DbdcParams`] from `--eps`, `--min-pts`, and the
 /// optional model/index/threads/partitions/precision flags.
 pub fn build_params(args: &Args) -> Result<DbdcParams, Box<dyn std::error::Error>> {
-    let eps: f64 = args.require_as("eps")?;
-    let min_pts: usize = args.require_as("min-pts")?;
     let index: dbdc_index::IndexKind = args.get_or("index", dbdc_index::IndexKind::RStar)?;
     let threads: usize = args.get_or("threads", 1)?;
     let partitions: usize = args.get_or("partitions", 1)?;
     let precision: dbdc_index::Precision = args.get_or("precision", dbdc_index::Precision::F64)?;
-    Ok(DbdcParams::new(eps, min_pts)
+    Ok(local_params(args)?
         .with_eps_global(parse_eps_global(args)?)
         .with_model(parse_model(args)?)
         .with_index(index)

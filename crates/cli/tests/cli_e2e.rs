@@ -153,6 +153,56 @@ fn bad_usage_exits_nonzero_with_message() {
         .expect("binary runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot open"));
+
+    // Out-of-range protocol values exit 1 with a message naming the
+    // flag, never with a panic.
+    let csv = tmp("bad_values.csv");
+    assert!(bin()
+        .args(["generate", "--set", "c", "--seed", "3", "--out"])
+        .arg(&csv)
+        .status()
+        .expect("binary runs")
+        .success());
+    let mut bad = vec![("--min-pts", "0"), ("--sites", "0")];
+    bad.extend(["0", "-1", "NaN", "inf"].map(|v| ("--eps", v)));
+    bad.extend(["-1", "0", "NaN"].map(|v| ("--eps-global", v)));
+    for cmd in ["run", "compare", "tune", "central"] {
+        for &(flag, value) in &bad {
+            if cmd == "central" && !matches!(flag, "--eps" | "--min-pts") {
+                continue;
+            }
+            let mut flags = vec![("--eps", "1.2"), ("--min-pts", "5")];
+            if cmd != "central" {
+                flags.push(("--sites", "2"));
+            }
+            match flags.iter_mut().find(|(f, _)| *f == flag) {
+                Some(slot) => slot.1 = value,
+                None => flags.push((flag, value)),
+            }
+            let mut c = bin();
+            c.args([cmd, "--input"]).arg(&csv);
+            for (f, v) in flags {
+                c.args([f, v]);
+            }
+            let out = c.output().expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {flag} {value}: {stderr}");
+            assert!(stderr.contains(flag), "{cmd} {flag} {value}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_file(&csv);
+
+    // The server rejects a bad multiplier before it binds, not after
+    // taking the sites' uploads.
+    let out = Command::new(env!("CARGO_BIN_EXE_dbdc-server"))
+        .args(serve)
+        .args(["--eps-global", "-3"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--eps-global"), "{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("listening"));
 }
 
 #[test]
@@ -289,6 +339,56 @@ fn report_diff_passes_within_tolerance_and_fails_on_regression() {
     for p in [&baseline, &steady, &doctored] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn report_diff_warns_when_the_environment_moved() {
+    let env = |nproc: usize, rustc: &str| dbdc_obs::EnvFingerprint {
+        nproc,
+        rustc: rustc.to_string(),
+        git_rev: "abc1234".to_string(),
+        dataset_checksum: "0".to_string(),
+    };
+    let mut base = hist_report(&[1_000_000, 1_050_000, 1_100_000, 1_150_000]);
+    base.env = Some(env(1, "rustc 1.75.0"));
+    let base_path = write_report("diff_env_base.json", &base);
+    // The new report's nproc and rustc, what stderr must name, and what
+    // it must not.
+    let cases: [(usize, &str, &[&str], &[&str]); 3] = [
+        (1, "rustc 1.75.0", &[], &["warning"]),
+        (
+            2,
+            "rustc 1.80.0",
+            &[
+                "warning: not a like-for-like comparison",
+                "nproc 1 vs 2",
+                "rustc 1.75.0 vs rustc 1.80.0",
+            ],
+            &[],
+        ),
+        (2, "rustc 1.75.0", &["nproc 1 vs 2"], &["rustc"]),
+    ];
+    for (k, (nproc, rustc, named, unnamed)) in cases.into_iter().enumerate() {
+        let mut new = base.clone();
+        new.env = Some(env(nproc, rustc));
+        let new_path = write_report(&format!("diff_env_{k}.json"), &new);
+        let out = bin()
+            .args(["report", "diff"])
+            .args([&base_path, &new_path])
+            .output()
+            .expect("binary runs");
+        // A warning never changes the verdict: the cells decide it.
+        assert!(out.status.success(), "case {k}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for s in named {
+            assert!(stderr.contains(s), "case {k}: {stderr}");
+        }
+        for s in unnamed {
+            assert!(!stderr.contains(s), "case {k}: {stderr}");
+        }
+        let _ = std::fs::remove_file(&new_path);
+    }
+    let _ = std::fs::remove_file(&base_path);
 }
 
 #[test]

@@ -6,15 +6,14 @@
 //! algorithm ([`crate::dbscan::dbscan`] / [`crate::scp::dbscan_with_scp`]),
 //! the parallel layer ([`mod@crate::par_dbscan`]) and the partitioned one
 //! ([`mod@crate::partitioned`]). Every choice yields the same labels; only
-//! a partitioned run's specific core points may differ (see
+//! a partitioned run's specific core points may differ: they follow
+//! ascending ids rather than the backend's answer order (see
 //! [`mod@crate::partitioned`]).
 
 use crate::dbscan::{dbscan, DbscanParams, DbscanResult};
-use crate::par_dbscan::{
-    cluster_from_neighborhoods, effective_threads, parallel_neighborhoods, replay_scp,
-};
+use crate::par_dbscan::{cluster_from_neighborhoods, effective_threads, parallel_neighborhoods};
 use crate::partitioned::{effective_partitions, partitioned_neighborhoods};
-use crate::scp::{dbscan_with_scp, ScpResult};
+use crate::scp::{dbscan_with_scp, enhanced_dbscan, ScpResult, SeedOrder};
 use dbdc_geom::{Dataset, Euclidean};
 use dbdc_index::{build_index_opts, BuildOptions, IndexKind, NeighborIndex, Precision};
 use dbdc_obs::{Counter, Recorder};
@@ -65,7 +64,7 @@ impl Execution {
             rec,
             scope,
             |index| dbscan(data, index, params),
-            |neighbors| {
+            |neighbors, _| {
                 let sheet = rec.sheet(scope);
                 let batches = rec.hist(&format!("{scope}/dsu_batch_ops"));
                 cluster_from_neighborhoods(
@@ -94,14 +93,17 @@ impl Execution {
             rec,
             scope,
             |index| dbscan_with_scp(data, index, params),
-            |neighbors| replay_scp(data, neighbors, params),
+            |neighbors, order| enhanced_dbscan(data, params, neighbors, order),
         )
     }
 
     /// The choice: partitioned when the partitions resolve above 1, else
     /// one index, queried sequentially at `threads == 1` and in parallel
     /// otherwise. Parallel and partitioned runs gather every
-    /// neighborhood first and hand them to `merge`.
+    /// neighborhood first and hand them to `merge`, with the order the
+    /// lists stand for: ascending ids for the partitioned branch, whose
+    /// lists come back in each stripe's answer order, and list order for
+    /// the parallel branch, which keeps the sequential run's order.
     fn run<R>(
         &self,
         data: &Dataset,
@@ -109,7 +111,7 @@ impl Execution {
         rec: &dyn Recorder,
         scope: &str,
         sequential: impl FnOnce(&dyn NeighborIndex) -> R,
-        merge: impl FnOnce(&[Vec<u32>]) -> R,
+        merge: impl FnOnce(&[Vec<u32>], SeedOrder) -> R,
     ) -> (R, ExecTimes) {
         let sheet = rec.sheet(scope);
         let eps_hist = rec.hist(&format!("{scope}/eps_range_ns"));
@@ -129,7 +131,7 @@ impl Execution {
             if let Some(s) = &sheet {
                 s.add_to(Counter::halo_points, stats.halo_points);
             }
-            let result = merge(&neighbors);
+            let result = merge(&neighbors, SeedOrder::Ascending);
             let times = ExecTimes {
                 build: Duration::ZERO,
                 cluster: t0.elapsed(),
@@ -154,12 +156,8 @@ impl Execution {
         let result = if self.threads == 1 {
             sequential(index.as_ref())
         } else {
-            merge(&parallel_neighborhoods(
-                data,
-                index.as_ref(),
-                eps,
-                self.threads,
-            ))
+            let neighbors = parallel_neighborhoods(data, index.as_ref(), eps, self.threads);
+            merge(&neighbors, SeedOrder::List)
         };
         let times = ExecTimes {
             build,
@@ -200,10 +198,13 @@ mod tests {
         let d = blobs();
         let params = DbscanParams::new(0.9, 4);
         // Specific core points follow the index's answer order, so the
-        // reference runs over the same backend.
+        // reference runs over the same backend; a partitioned run's
+        // follow ascending ids, the order a linear scan answers in.
         let index = dbdc_index::build_index(IndexKind::KdTree, &d, Euclidean, params.eps);
         let seq = dbscan(&d, index.as_ref(), &params);
         let seq_scp = dbscan_with_scp(&d, index.as_ref(), &params);
+        let linear = dbdc_index::LinearScan::new(&d, Euclidean);
+        let ascending_scp = dbscan_with_scp(&d, &linear, &params);
         for (threads, partitions) in [(1, 1), (2, 1), (0, 1), (1, 3), (2, 2), (2, 0)] {
             let e = exec(threads, partitions);
             let (plain, times) = e.dbscan(&d, &params, &NoopRecorder, "s");
@@ -215,6 +216,7 @@ mod tests {
             assert_eq!(!times.partitions.is_empty(), partitioned, "{e:?}");
             if partitioned {
                 assert_eq!(times.build, Duration::ZERO);
+                assert_eq!(scp.scp, ascending_scp.scp, "{e:?}");
             } else {
                 assert_eq!(scp.scp, seq_scp.scp, "{e:?}");
             }

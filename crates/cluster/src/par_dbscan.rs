@@ -46,14 +46,15 @@
 //! [`par_dbscan_with_scp`] extends this to the paper's enhanced DBSCAN:
 //! specific-core-point selection is *visit-order dependent*
 //! (Definition 6 "is not disjunctive"), so it replays the sequential
-//! state machine — but over the cached neighborhoods, issuing zero
-//! additional index queries. The replay consumes identical neighbor
-//! lists in identical order, hence produces the identical [`ScpResult`].
+//! state machine of [`crate::scp`] — but over the cached neighborhoods,
+//! issuing zero additional index queries. The replay consumes identical
+//! neighbor lists in identical order, hence produces the identical
+//! [`ScpResult`].
 
 use crate::dbscan::{DbscanParams, DbscanResult};
-use crate::scp::{ScpResult, SpecificCorePoint};
+use crate::scp::{enhanced_dbscan, ScpResult, SeedOrder};
 use crate::union_find::UnionFind;
-use dbdc_geom::{Clustering, Dataset, Label, Metric};
+use dbdc_geom::{Clustering, Dataset, Label};
 use dbdc_index::{NeighborIndex, QueryWorkspace};
 use std::sync::Mutex;
 
@@ -179,7 +180,8 @@ pub fn par_dbscan_observed(
 /// canonicalization over already-computed neighborhoods. The labels
 /// depend only on the neighbor *sets*, not their list order (see the
 /// module docs), so callers may hand in neighborhoods in any per-list
-/// order — the partitioned local phase sorts its lists ascending.
+/// order — the partitioned local phase hands in its lists as the
+/// stripes' indexes answered them.
 /// `hist`, when given, captures the *distribution* of DSU batch sizes —
 /// how many union operations each core point's neighborhood contributes;
 /// a heavy tail means a few dense hubs dominate the merge.
@@ -283,11 +285,11 @@ pub(crate) fn cluster_from_neighborhoods(
 }
 
 /// Parallel variant of [`crate::scp::dbscan_with_scp`]: the ε-range
-/// queries run on the worker pool, then the sequential enhanced-DBSCAN
-/// state machine is replayed over the cached neighborhoods (specific
-/// core point selection is visit-order dependent, so replay is the only
-/// way to reproduce it exactly). Output is identical to the sequential
-/// function for any thread count.
+/// queries run on the worker pool, then the sequential function's own
+/// enhanced-DBSCAN state machine replays over the cached neighborhoods
+/// in their list order (specific core point selection is visit-order
+/// dependent, so replay is the only way to reproduce it exactly).
+/// Output is identical to the sequential function for any thread count.
 ///
 /// # Panics
 /// Panics if the index does not cover `data` (`index.len() != data.len()`).
@@ -303,140 +305,7 @@ pub fn par_dbscan_with_scp(
         "index must be built over the clustered dataset"
     );
     let neighborhoods = parallel_neighborhoods(data, index, params.eps, threads);
-    replay_scp(data, &neighborhoods, params)
-}
-
-/// Sequential enhanced-DBSCAN replay over precomputed neighborhoods.
-/// Mirrors `scp::dbscan_with_scp` statement for statement, with each
-/// `index.range(...)` replaced by a cached lookup; `range_queries`
-/// counts the queries the sequential run would have issued, so the two
-/// results compare equal field by field.
-///
-/// The clustering *labels* depend only on the neighbor sets (cluster
-/// creation order is outer-loop order, border claims go to the
-/// earliest-created cluster); the *specific core point* selection does
-/// depend on each list's internal order, so callers feeding reordered
-/// lists (the partitioned local phase) get identical labels but
-/// possibly different — still deterministic — representatives.
-pub(crate) fn replay_scp(
-    data: &Dataset,
-    neighborhoods: &[Vec<u32>],
-    params: &DbscanParams,
-) -> ScpResult {
-    let n = data.len();
-    let mut state = vec![UNCLASSIFIED; n];
-    let mut core = vec![false; n];
-    let mut next_cluster: i64 = 0;
-    let mut seeds: Vec<u32> = Vec::new();
-    let mut range_queries = 0usize;
-    let mut scp_ids: Vec<Vec<u32>> = Vec::new();
-    let metric = dbdc_geom::Euclidean;
-
-    let add_core_point = |scp_ids: &mut Vec<Vec<u32>>, cluster: usize, id: u32| {
-        let list = &mut scp_ids[cluster];
-        let covered = list
-            .iter()
-            .any(|&s| metric.dist(data.point(s), data.point(id)) <= params.eps);
-        if !covered {
-            list.push(id);
-        }
-    };
-
-    for i in 0..n as u32 {
-        if state[i as usize] != UNCLASSIFIED {
-            continue;
-        }
-        let neighbors = &neighborhoods[i as usize];
-        range_queries += 1;
-        if neighbors.len() < params.min_pts {
-            state[i as usize] = NOISE;
-            continue;
-        }
-        let cluster = next_cluster as usize;
-        next_cluster += 1;
-        scp_ids.push(Vec::new());
-        core[i as usize] = true;
-        state[i as usize] = cluster as i64;
-        add_core_point(&mut scp_ids, cluster, i);
-        seeds.clear();
-        for &q in neighbors {
-            let s = &mut state[q as usize];
-            if *s == UNCLASSIFIED {
-                *s = cluster as i64;
-                seeds.push(q);
-            } else if *s == NOISE {
-                *s = cluster as i64;
-            }
-        }
-        while let Some(j) = seeds.pop() {
-            let neighbors = &neighborhoods[j as usize];
-            range_queries += 1;
-            if neighbors.len() < params.min_pts {
-                continue;
-            }
-            core[j as usize] = true;
-            add_core_point(&mut scp_ids, cluster, j);
-            for &q in neighbors {
-                let s = &mut state[q as usize];
-                if *s == UNCLASSIFIED {
-                    *s = cluster as i64;
-                    seeds.push(q);
-                } else if *s == NOISE {
-                    *s = cluster as i64;
-                }
-            }
-        }
-    }
-
-    // Definition 7 finalization; the sequential version re-queries each
-    // specific core point here, the replay reuses its cached list.
-    let mut scp: Vec<Vec<SpecificCorePoint>> = Vec::with_capacity(scp_ids.len());
-    for ids in &scp_ids {
-        let mut list = Vec::with_capacity(ids.len());
-        for &s in ids {
-            range_queries += 1;
-            let max_core_dist = neighborhoods[s as usize]
-                .iter()
-                .filter(|&&q| core[q as usize])
-                .map(|&q| metric.dist(data.point(s), data.point(q)))
-                .fold(0.0f64, f64::max);
-            list.push(SpecificCorePoint {
-                point: s,
-                eps_range: params.eps + max_core_dist,
-            });
-        }
-        scp.push(list);
-    }
-
-    let labels = state
-        .iter()
-        .map(|&s| {
-            if s < 0 {
-                Label::Noise
-            } else {
-                Label::Cluster(s as u32)
-            }
-        })
-        .collect();
-    let clustering = Clustering::from_labels(labels);
-
-    let mut remapped: Vec<Vec<SpecificCorePoint>> = vec![Vec::new(); scp.len()];
-    for (raw, list) in scp.into_iter().enumerate() {
-        let dense = list
-            .first()
-            .and_then(|s| clustering.label(s.point).cluster())
-            .unwrap_or(raw as u32) as usize;
-        remapped[dense] = list;
-    }
-
-    ScpResult {
-        dbscan: DbscanResult {
-            clustering,
-            core,
-            range_queries,
-        },
-        scp: remapped,
-    }
+    enhanced_dbscan(data, params, &neighborhoods[..], SeedOrder::List)
 }
 
 #[cfg(test)]

@@ -15,23 +15,28 @@
 //! distance, so the full ε-neighborhood of a point owned by stripe `s`
 //! lies within `s`'s coordinate range extended by ε on both sides —
 //! exactly the stripe-plus-halo subset each partition receives. Each
-//! owned point's neighborhood is therefore *complete*, and after
-//! mapping subset-local ids back to site-local ids and sorting, the
-//! neighbor **sets** equal the unpartitioned index's answers.
+//! owned point's neighborhood is therefore *complete*: mapped back from
+//! subset-local to site-local ids, the neighbor **sets** equal the
+//! unpartitioned index's answers. The lists keep the order the stripe's
+//! index answered in, which depends on the backend and the stripe.
 //!
 //! The clustering tail reuses `par_dbscan`'s order-independent steps
 //! (core flags, core-core union-find merge, canonicalization), so the
 //! labels are **identical** to sequential [`crate::dbscan::dbscan`] at
 //! every partition count — that identity is the correctness gate the
 //! tests pin. Specific-core-point selection is visit-order dependent
-//! (Definition 6), so [`partitioned_dbscan_with_scp_observed`] replays
-//! the same sequential state machine over the sorted neighborhoods: its
-//! labels are again identical, while the chosen representatives may
-//! differ deterministically from the unpartitioned run's.
+//! (Definition 6), so [`partitioned_dbscan_with_scp_observed`] runs the
+//! sequential state machine of [`crate::scp`] over the neighborhoods
+//! *as if each list were sorted ascending*: every expansion sorts just
+//! the seeds it claims, at most `n` ids in the whole run. The
+//! representatives are therefore those of a sequential run over an
+//! index that answers in ascending id order, such as
+//! [`dbdc_index::LinearScan`] — the same under every backend, thread
+//! count and partition count.
 
 use crate::dbscan::{DbscanParams, DbscanResult};
-use crate::par_dbscan::{cluster_from_neighborhoods, effective_threads, replay_scp};
-use crate::scp::ScpResult;
+use crate::par_dbscan::{cluster_from_neighborhoods, effective_threads};
+use crate::scp::{enhanced_dbscan, ScpResult, SeedOrder};
 use crate::union_find::UnionFind;
 use dbdc_geom::{Dataset, Euclidean};
 use dbdc_index::{build_index_opts, BuildOptions, IndexKind, Precision, QueryWorkspace};
@@ -116,12 +121,12 @@ impl Layout {
 
 /// Computes every point's closed ε-neighborhood through per-partition
 /// indexes, with partitions processed concurrently on up to `threads`
-/// workers (`0` = all cores). Neighbor lists come back sorted
-/// ascending; as sets they equal the answers of one index over the
-/// whole dataset. Also returns the stripe layout. Every partition's
-/// index reports into the optional `sheet` (query work counters) and
-/// `hist` (per-query latency); the sheets are lock-free, so partition
-/// workers record concurrently.
+/// workers (`0` = all cores). Neighbor lists come back in the order
+/// each stripe's index answered; as sets they equal the answers of one
+/// index over the whole dataset. Also returns the stripe layout. Every
+/// partition's index reports into the optional `sheet` (query work
+/// counters) and `hist` (per-query latency); the sheets are lock-free,
+/// so partition workers record concurrently.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn partitioned_neighborhoods(
     data: &Dataset,
@@ -213,11 +218,7 @@ pub(crate) fn partitioned_neighborhoods(
         for pos in s.own_start..s.own_end {
             let local = (pos - s.halo_start) as u32;
             index.range_with(sub.point(local), eps, &mut buf, ws);
-            let mut mapped: Vec<u32> = buf.iter().map(|&l| sub_ids[l as usize]).collect();
-            // Sorted lists make the neighborhoods canonical across
-            // backends and partition counts.
-            mapped.sort_unstable();
-            lists.push(mapped);
+            lists.push(buf.iter().map(|&l| sub_ids[l as usize]).collect());
         }
         (lists, t0.elapsed())
     };
@@ -293,8 +294,8 @@ pub fn partitioned_dbscan(
 }
 
 /// Partitioned variant of [`crate::par_dbscan::par_dbscan_with_scp`]:
-/// identical labels, deterministic (but possibly different from the
-/// unpartitioned run's) specific-core-point representatives — see the
+/// identical labels, and the specific-core-point representatives of a
+/// sequential run whose index answers in ascending id order — see the
 /// module docs. Every partition's index reports into the optional `sheet`
 /// (query work counters) and `hist` (per-query latency).
 #[allow(clippy::too_many_arguments)]
@@ -311,7 +312,8 @@ pub fn partitioned_dbscan_with_scp_observed(
     let (neighbors, stats, _) = partitioned_neighborhoods(
         data, kind, params.eps, partitions, threads, precision, sheet, hist,
     );
-    (replay_scp(data, &neighbors, params), stats)
+    let result = enhanced_dbscan(data, params, &neighbors[..], SeedOrder::Ascending);
+    (result, stats)
 }
 
 #[cfg(test)]
@@ -358,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn neighborhoods_are_complete_and_sorted() {
+    fn neighborhoods_are_complete() {
         let d = two_blobs_and_noise();
         let idx = LinearScan::new(&d, Euclidean);
         let eps = 1.2;
@@ -370,9 +372,11 @@ mod tests {
             stats.partition_halo.iter().sum::<usize>() as u64
         );
         for i in 0..d.len() as u32 {
+            let mut got = nb[i as usize].clone();
+            got.sort_unstable();
             let mut want = idx.range_vec(d.point(i), eps);
             want.sort_unstable();
-            assert_eq!(nb[i as usize], want, "point {i}");
+            assert_eq!(got, want, "point {i}");
         }
     }
 

@@ -18,6 +18,12 @@
 //! The maximum is taken once the run is complete (a late-visited core point
 //! can fall inside an early specific core point's neighborhood), via one
 //! extra range query per specific core point.
+//!
+//! One state machine serves every execution path. [`dbscan_with_scp`]
+//! feeds it range queries as it goes, in the index's answer order; the
+//! parallel layer replays it over cached lists in that same order, and
+//! the partitioned layer over lists that stand for ascending ids, sorting
+//! only the seeds each expansion claims.
 
 use crate::dbscan::{DbscanParams, DbscanResult};
 use dbdc_geom::{Clustering, Dataset, Label};
@@ -52,6 +58,47 @@ impl ScpResult {
 
 const UNCLASSIFIED: i64 = -2;
 const NOISE: i64 = -1;
+
+/// Where the enhanced DBSCAN reads each point's closed ε-neighborhood:
+/// a range query issued on the spot ([`dbscan_with_scp`]) or a list
+/// gathered beforehand (the parallel and partitioned layers).
+pub(crate) trait Neighborhoods {
+    /// The ids within ε of point `i`, `i` included, each id once.
+    fn of(&mut self, i: u32) -> &[u32];
+}
+
+/// Answers every lookup with a fresh ε-range query on `index`.
+struct Queries<'a> {
+    data: &'a Dataset,
+    index: &'a dyn NeighborIndex,
+    eps: f64,
+    list: Vec<u32>,
+    ws: QueryWorkspace,
+}
+
+impl Neighborhoods for Queries<'_> {
+    fn of(&mut self, i: u32) -> &[u32] {
+        self.index
+            .range_with(self.data.point(i), self.eps, &mut self.list, &mut self.ws);
+        &self.list
+    }
+}
+
+impl Neighborhoods for &[Vec<u32>] {
+    fn of(&mut self, i: u32) -> &[u32] {
+        &self[i as usize]
+    }
+}
+
+/// The order the neighborhood lists stand for, which is the order an
+/// expansion pushes the points it claims onto the seed stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SeedOrder {
+    /// The order the lists hold their ids in.
+    List,
+    /// Ascending ids, whatever order the lists hold them in.
+    Ascending,
+}
 
 /// Runs DBSCAN while extracting specific core points in visit order.
 ///
@@ -88,13 +135,36 @@ pub fn dbscan_with_scp(
         data.len(),
         "index must be built over the clustered dataset"
     );
+    let queries = Queries {
+        data,
+        index,
+        eps: params.eps,
+        list: Vec::new(),
+        ws: QueryWorkspace::new(),
+    };
+    enhanced_dbscan(data, params, queries, SeedOrder::List)
+}
+
+/// The enhanced-DBSCAN state machine behind every execution path.
+/// Each lookup in `source` counts as one of `range_queries`, so a run
+/// over cached lists reports the queries the sequential run issues.
+///
+/// Only specific-core-point selection depends on list order, and only
+/// through the order the seeds are pushed: one expansion claims exactly
+/// the unclassified ids of its list, each once. With
+/// [`SeedOrder::Ascending`] each expansion sorts the seeds it just
+/// pushed, which builds the stack ascending lists would, while sorting
+/// at most `n` ids in the whole run.
+pub(crate) fn enhanced_dbscan(
+    data: &Dataset,
+    params: &DbscanParams,
+    mut source: impl Neighborhoods,
+    order: SeedOrder,
+) -> ScpResult {
     let n = data.len();
     let mut state = vec![UNCLASSIFIED; n];
     let mut core = vec![false; n];
-    let mut next_cluster: i64 = 0;
-    let mut neighbors: Vec<u32> = Vec::new();
     let mut seeds: Vec<u32> = Vec::new();
-    let mut ws = QueryWorkspace::new();
     let mut range_queries = 0usize;
     // Per-cluster specific core points (ids only; ranges computed at the
     // end).
@@ -102,61 +172,49 @@ pub fn dbscan_with_scp(
     let metric = dbdc_geom::Euclidean;
     use dbdc_geom::Metric;
 
-    // Greedy Scor membership test: the new core point joins unless an
-    // existing specific core point of its cluster covers it.
-    let add_core_point = |scp_ids: &mut Vec<Vec<u32>>, cluster: usize, id: u32| {
-        let list = &mut scp_ids[cluster];
-        let covered = list
-            .iter()
-            .any(|&s| metric.dist(data.point(s), data.point(id)) <= params.eps);
-        if !covered {
-            list.push(id);
-        }
-    };
-
     for i in 0..n as u32 {
         if state[i as usize] != UNCLASSIFIED {
             continue;
         }
-        index.range_with(data.point(i), params.eps, &mut neighbors, &mut ws);
-        range_queries += 1;
-        if neighbors.len() < params.min_pts {
-            state[i as usize] = NOISE;
-            continue;
-        }
-        let cluster = next_cluster as usize;
-        next_cluster += 1;
-        scp_ids.push(Vec::new());
-        core[i as usize] = true;
-        state[i as usize] = cluster as i64;
-        add_core_point(&mut scp_ids, cluster, i);
-        seeds.clear();
-        for &q in &neighbors {
-            let s = &mut state[q as usize];
-            if *s == UNCLASSIFIED {
-                *s = cluster as i64;
-                seeds.push(q);
-            } else if *s == NOISE {
-                *s = cluster as i64;
-            }
-        }
-        while let Some(j) = seeds.pop() {
-            index.range_with(data.point(j), params.eps, &mut neighbors, &mut ws);
+        // Expand from `i`: a core `i` opens the next cluster, whose seeds
+        // are popped until the stack is empty.
+        let cluster = scp_ids.len();
+        let mut next = Some(i);
+        while let Some(j) = next {
+            let neighbors = source.of(j);
             range_queries += 1;
-            if neighbors.len() < params.min_pts {
-                continue;
-            }
-            core[j as usize] = true;
-            add_core_point(&mut scp_ids, cluster, j);
-            for &q in &neighbors {
-                let s = &mut state[q as usize];
-                if *s == UNCLASSIFIED {
-                    *s = cluster as i64;
-                    seeds.push(q);
-                } else if *s == NOISE {
-                    *s = cluster as i64;
+            if neighbors.len() >= params.min_pts {
+                if j == i {
+                    scp_ids.push(Vec::new());
+                    state[i as usize] = cluster as i64;
                 }
+                core[j as usize] = true;
+                // Greedy Scor membership test: the new core point joins
+                // unless a specific core point of its cluster covers it.
+                let list = &mut scp_ids[cluster];
+                if !list
+                    .iter()
+                    .any(|&s| metric.dist(data.point(s), data.point(j)) <= params.eps)
+                {
+                    list.push(j);
+                }
+                let start = seeds.len();
+                for &q in neighbors {
+                    let s = &mut state[q as usize];
+                    if *s == UNCLASSIFIED {
+                        *s = cluster as i64;
+                        seeds.push(q);
+                    } else if *s == NOISE {
+                        *s = cluster as i64;
+                    }
+                }
+                if order == SeedOrder::Ascending {
+                    seeds[start..].sort_unstable();
+                }
+            } else if j == i {
+                state[i as usize] = NOISE;
             }
+            next = seeds.pop();
         }
     }
 
@@ -165,9 +223,9 @@ pub fn dbscan_with_scp(
     for ids in &scp_ids {
         let mut list = Vec::with_capacity(ids.len());
         for &s in ids {
-            index.range_with(data.point(s), params.eps, &mut neighbors, &mut ws);
             range_queries += 1;
-            let max_core_dist = neighbors
+            let max_core_dist = source
+                .of(s)
                 .iter()
                 .filter(|&&q| core[q as usize])
                 .map(|&q| metric.dist(data.point(s), data.point(q)))

@@ -2,11 +2,15 @@
 //! arbitrary data and parameters, `partitioned_dbscan` must produce
 //! exactly the sequential `dbscan` output on every backend, at every
 //! thread count, at every partition count — including halo-heavy ε
-//! settings where the stripes overlap almost entirely.
+//! settings where the stripes overlap almost entirely. The partitioned
+//! specific core points are pinned too, against a sequential run over a
+//! linear scan.
 
-use dbdc_cluster::{dbscan, partitioned_dbscan, DbscanParams};
-use dbdc_geom::{Dataset, Precision};
-use dbdc_index::{build_index, IndexKind};
+use dbdc_cluster::{
+    dbscan, dbscan_with_scp, partitioned_dbscan, partitioned_dbscan_with_scp_observed, DbscanParams,
+};
+use dbdc_geom::{Dataset, Euclidean, Precision};
+use dbdc_index::{build_index, IndexKind, LinearScan};
 use proptest::prelude::*;
 
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
@@ -101,6 +105,55 @@ proptest! {
             if stats.partitions > 1 && data.len() > stats.partitions {
                 prop_assert!(stats.halo_points > 0,
                     "ε {} produced no halo over {} points", eps, data.len());
+            }
+        }
+    }
+
+    /// The partitioned enhanced DBSCAN returns exactly the `ScpResult` of
+    /// a sequential run over a linear scan, which answers in ascending id
+    /// order: labels, core flags, query count, and every specific core
+    /// point with its ε-range, on every backend × 2/3/7 partitions × 1/2
+    /// threads. Each case also covers repeated points, `MinPts = 1`,
+    /// ε = 1e-9 and a one-point dataset.
+    #[test]
+    fn partitioned_representatives_equal_linear_scan_oracle(
+        data in arb_dataset(),
+        repeats in prop::collection::vec(0usize..1000, 1..8),
+        eps in 0.5..3.0f64,
+        min_pts in 2usize..7,
+    ) {
+        let mut data = data;
+        for r in repeats {
+            let copy = data.point((r % data.len()) as u32).to_vec();
+            data.push(&copy);
+        }
+        let one_point = data.subset(&[0]);
+        for d in [&data, &one_point] {
+            for (eps, min_pts) in [(eps, min_pts), (eps, 1), (1e-9, 2)] {
+                let params = DbscanParams::new(eps, min_pts);
+                let oracle = dbscan_with_scp(d, &LinearScan::new(d, Euclidean), &params);
+                for kind in IndexKind::ALL {
+                    for partitions in [2usize, 3, 7] {
+                        for threads in [1usize, 2] {
+                            let (part, _) = partitioned_dbscan_with_scp_observed(
+                                d, kind, &params, partitions, threads, Precision::F64,
+                                None, None,
+                            );
+                            let at = format!(
+                                "{kind:?}, {partitions} partitions, {threads} threads, \
+                                 eps {eps}, min_pts {min_pts}, {} points", d.len()
+                            );
+                            prop_assert_eq!(&oracle.dbscan.clustering,
+                                &part.dbscan.clustering, "labels differ ({})", at);
+                            prop_assert_eq!(&oracle.dbscan.core, &part.dbscan.core,
+                                "core flags differ ({})", at);
+                            prop_assert_eq!(oracle.dbscan.range_queries,
+                                part.dbscan.range_queries, "query counts differ ({})", at);
+                            prop_assert_eq!(&oracle.scp, &part.scp,
+                                "specific core points differ ({})", at);
+                        }
+                    }
+                }
             }
         }
     }
