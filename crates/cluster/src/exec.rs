@@ -9,14 +9,29 @@
 //! a partitioned run's specific core points may differ: they follow
 //! ascending ids rather than the backend's answer order (see
 //! [`mod@crate::partitioned`]).
+//!
+//! The partitioned branch of [`Execution::dbscan_with_scp`] is
+//! [`crate::partitioned::partitioned_dbscan_with_scp_observed`], the
+//! function the benchmark's traced composition calls too. In up to
+//! [`crate::count_claim::MAX_DIM`] dimensions at f64 it runs the grid
+//! count-and-claim kernel, so `index` no longer changes that local work
+//! (its output already did not depend on `index`); above the cut, at
+//! f32, or when the
+//! coordinates outgrow the kernel's guard, it gathers lists through
+//! `index`. Unpartitioned runs, and [`Execution::dbscan`] on every path,
+//! query `index` as before.
 
 use crate::dbscan::{dbscan, DbscanParams, DbscanResult};
 use crate::par_dbscan::{cluster_from_neighborhoods, effective_threads, parallel_neighborhoods};
-use crate::partitioned::{effective_partitions, partitioned_neighborhoods};
+use crate::partitioned::{
+    effective_partitions, partitioned_dbscan_with_scp_observed, partitioned_neighborhoods,
+    PartitionStats,
+};
 use crate::scp::{dbscan_with_scp, enhanced_dbscan, ScpResult, SeedOrder};
 use dbdc_geom::{Dataset, Euclidean};
 use dbdc_index::{build_index_opts, BuildOptions, IndexKind, NeighborIndex, Precision};
-use dbdc_obs::{Counter, Recorder};
+use dbdc_obs::{Counter, CounterSheet, HistSheet, Recorder};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How one DBSCAN run executes.
@@ -58,22 +73,36 @@ impl Execution {
         rec: &dyn Recorder,
         scope: &str,
     ) -> (DbscanResult, ExecTimes) {
+        let merge = |neighbors: &[Vec<u32>]| {
+            let sheet = rec.sheet(scope);
+            let batches = rec.hist(&format!("{scope}/dsu_batch_ops"));
+            cluster_from_neighborhoods(
+                data.len(),
+                neighbors,
+                params.min_pts,
+                sheet.as_deref(),
+                batches.as_deref(),
+            )
+        };
         self.run(
             data,
             params.eps,
             rec,
             scope,
             |index| dbscan(data, index, params),
-            |neighbors, _| {
-                let sheet = rec.sheet(scope);
-                let batches = rec.hist(&format!("{scope}/dsu_batch_ops"));
-                cluster_from_neighborhoods(
-                    data.len(),
-                    neighbors,
-                    params.min_pts,
-                    sheet.as_deref(),
-                    batches.as_deref(),
-                )
+            merge,
+            |partitions, sheet, hist| {
+                let (neighbors, stats, _) = partitioned_neighborhoods(
+                    data,
+                    self.index,
+                    params.eps,
+                    partitions,
+                    self.threads,
+                    self.precision,
+                    sheet,
+                    hist,
+                );
+                (merge(&neighbors), stats)
             },
         )
     }
@@ -93,17 +122,29 @@ impl Execution {
             rec,
             scope,
             |index| dbscan_with_scp(data, index, params),
-            |neighbors, order| enhanced_dbscan(data, params, neighbors, order),
+            |neighbors| enhanced_dbscan(data, params, neighbors, SeedOrder::List),
+            |partitions, sheet, hist| {
+                partitioned_dbscan_with_scp_observed(
+                    data,
+                    self.index,
+                    params,
+                    partitions,
+                    self.threads,
+                    self.precision,
+                    sheet,
+                    hist,
+                )
+            },
         )
     }
 
     /// The choice: partitioned when the partitions resolve above 1, else
     /// one index, queried sequentially at `threads == 1` and in parallel
-    /// otherwise. Parallel and partitioned runs gather every
-    /// neighborhood first and hand them to `merge`, with the order the
-    /// lists stand for: ascending ids for the partitioned branch, whose
-    /// lists come back in each stripe's answer order, and list order for
-    /// the parallel branch, which keeps the sequential run's order.
+    /// otherwise. A parallel run gathers every neighborhood first and
+    /// hands the lists to `merge`; a partitioned run is `partitioned`'s,
+    /// given the partition count and the scope's counter sheet and
+    /// latency histogram.
+    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     fn run<R>(
         &self,
         data: &Dataset,
@@ -111,27 +152,22 @@ impl Execution {
         rec: &dyn Recorder,
         scope: &str,
         sequential: impl FnOnce(&dyn NeighborIndex) -> R,
-        merge: impl FnOnce(&[Vec<u32>], SeedOrder) -> R,
+        merge: impl FnOnce(&[Vec<u32>]) -> R,
+        partitioned: impl FnOnce(
+            usize,
+            Option<&Arc<CounterSheet>>,
+            Option<&Arc<HistSheet>>,
+        ) -> (R, PartitionStats),
     ) -> (R, ExecTimes) {
         let sheet = rec.sheet(scope);
         let eps_hist = rec.hist(&format!("{scope}/eps_range_ns"));
         let t0 = Instant::now();
         let partitions = effective_partitions(self.partitions, self.threads);
         if partitions > 1 {
-            let (neighbors, stats, _) = partitioned_neighborhoods(
-                data,
-                self.index,
-                eps,
-                partitions,
-                self.threads,
-                self.precision,
-                sheet.as_ref(),
-                eps_hist.as_ref(),
-            );
+            let (result, stats) = partitioned(partitions, sheet.as_ref(), eps_hist.as_ref());
             if let Some(s) = &sheet {
                 s.add_to(Counter::halo_points, stats.halo_points);
             }
-            let result = merge(&neighbors, SeedOrder::Ascending);
             let times = ExecTimes {
                 build: Duration::ZERO,
                 cluster: t0.elapsed(),
@@ -156,8 +192,12 @@ impl Execution {
         let result = if self.threads == 1 {
             sequential(index.as_ref())
         } else {
-            let neighbors = parallel_neighborhoods(data, index.as_ref(), eps, self.threads);
-            merge(&neighbors, SeedOrder::List)
+            merge(&parallel_neighborhoods(
+                data,
+                index.as_ref(),
+                eps,
+                self.threads,
+            ))
         };
         let times = ExecTimes {
             build,

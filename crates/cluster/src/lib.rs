@@ -21,11 +21,15 @@
 //! * [`mod@partitioned`] — partitioned local DBSCAN: spatial stripes
 //!   with ε-halos, a private index per partition, per-partition workers,
 //!   labels identical to [`dbscan::dbscan`] at every partition count.
+//! * [`count_claim`] — the grid count-and-claim kernel the partitioned
+//!   layer runs in low dimensions: core flags decided on grid cells,
+//!   expansions that scan only each cell's open members.
 //! * [`exec`] — the one dispatch that picks sequential, parallel or
 //!   partitioned DBSCAN from an [`Execution`]'s settings.
 //! * [`mod@dbcv`] — the DBCV relative validity index \[Moulavi et al. 14\],
 //!   the ground-truth-free quality signal for unlabeled workloads.
 
+pub mod count_claim;
 pub mod dbcv;
 pub mod dbscan;
 pub mod exec;

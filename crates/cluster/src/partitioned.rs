@@ -26,21 +26,38 @@
 //! every partition count — that identity is the correctness gate the
 //! tests pin. Specific-core-point selection is visit-order dependent
 //! (Definition 6), so [`partitioned_dbscan_with_scp_observed`] runs the
-//! sequential state machine of [`crate::scp`] over the neighborhoods
-//! *as if each list were sorted ascending*: every expansion sorts just
-//! the seeds it claims, at most `n` ids in the whole run. The
-//! representatives are therefore those of a sequential run over an
-//! index that answers in ascending id order, such as
-//! [`dbdc_index::LinearScan`] — the same under every backend, thread
-//! count and partition count.
+//! sequential state machine of [`crate::scp`] *as if each neighbourhood
+//! were listed ascending*: every expansion sorts just the seeds it
+//! claims, at most `n` ids in the whole run. The representatives are
+//! therefore those of a sequential run over an index that answers in
+//! ascending id order, such as [`dbdc_index::LinearScan`] — the same
+//! under every backend, thread count and partition count.
+//!
+//! # Two sources for the specific core points
+//!
+//! Where [`mod@crate::count_claim`] applies — at most
+//! [`crate::count_claim::MAX_DIM`] dimensions, f64 precision, and
+//! coordinates the kernel's guard covers — the stripes gather no lists.
+//! Each stripe decides its owned points' core flags on a private grid
+//! over its stripe and halo, the order-independent half, and one
+//! sequential pass over a grid of the whole site expands clusters in
+//! ascending id order, scanning only each cell's open members. The
+//! index backend then plays no part. Anywhere else the stripes gather
+//! every owned point's list through their private indexes, as above.
+//! Both sources yield the same [`ScpResult`]; plain
+//! [`partitioned_dbscan`] always gathers lists, since its merge counts
+//! cross-stripe edges over them.
 
+use crate::count_claim::{core_flags, Cells, Claims};
 use crate::dbscan::{DbscanParams, DbscanResult};
 use crate::par_dbscan::{cluster_from_neighborhoods, effective_threads};
 use crate::scp::{enhanced_dbscan, ScpResult, SeedOrder};
 use crate::union_find::UnionFind;
 use dbdc_geom::{Dataset, Euclidean};
 use dbdc_index::{build_index_opts, BuildOptions, IndexKind, Precision, QueryWorkspace};
-use std::sync::Mutex;
+use dbdc_obs::{CounterSheet, HistSheet};
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Resolves a partition-count knob: `0` means "one partition per
@@ -60,7 +77,9 @@ pub struct PartitionStats {
     pub partitions: usize,
     /// Total points replicated into halos across all partitions.
     pub halo_points: u64,
-    /// Per-partition wall time (index build + owned-point queries).
+    /// Per-partition wall time: the private index build and the owned
+    /// points' queries, or on the grid kernel the private grid and the
+    /// owned points' core decisions.
     pub partition_times: Vec<Duration>,
     /// Points owned by each partition.
     pub partition_owned: Vec<usize>,
@@ -94,6 +113,134 @@ pub(crate) struct Layout {
 }
 
 impl Layout {
+    /// Stripes `data` into up to `partitions` count-balanced stripes along
+    /// its widest-spread axis, each with the ε-halo around it, and the
+    /// telemetry of that layout (no partition times yet).
+    fn new(data: &Dataset, eps: f64, partitions: usize) -> (Layout, PartitionStats) {
+        let n = data.len();
+        let partitions = partitions.max(1).min(n.max(1));
+        let mut stats = PartitionStats {
+            partitions,
+            halo_points: 0,
+            partition_times: vec![Duration::ZERO; partitions],
+            partition_owned: vec![0; partitions],
+            partition_halo: vec![0; partitions],
+            merge_edges: 0,
+        };
+        let Some(bbox) = data.bounding_rect() else {
+            return (Layout::default(), stats);
+        };
+
+        // Stripe along the widest-spread axis: striping a degenerate axis
+        // (e.g. always axis 0 on data extended along axis 1) would give
+        // every partition a halo covering nearly the whole dataset.
+        let axis = (0..data.dim())
+            .max_by(|&a, &b| {
+                let wa = bbox.hi()[a] - bbox.lo()[a];
+                let wb = bbox.hi()[b] - bbox.lo()[b];
+                wa.total_cmp(&wb)
+            })
+            .expect("dataset has at least 1 dimension");
+
+        // Count-balanced stripes over the axis-sorted order (ties broken by
+        // id so the partitioning is fully deterministic).
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by(|&a, &b| {
+            data.point(a)[axis]
+                .total_cmp(&data.point(b)[axis])
+                .then(a.cmp(&b))
+        });
+        let coord = |pos: usize| data.point(order[pos])[axis];
+        let per = n.div_ceil(partitions);
+        let mut stripes: Vec<Stripe> = Vec::with_capacity(partitions);
+        for p in 0..partitions {
+            let own_start = (p * per).min(n);
+            let own_end = ((p + 1) * per).min(n);
+            if own_start >= own_end {
+                continue;
+            }
+            // The halo is everything within ε of the stripe's coordinate
+            // range — contiguous in the sorted order, found by bisection.
+            let lo = coord(own_start) - eps;
+            let hi = coord(own_end - 1) + eps;
+            let halo_start = order[..own_start].partition_point(|&i| data.point(i)[axis] < lo);
+            let halo_end =
+                own_end + order[own_end..].partition_point(|&i| data.point(i)[axis] <= hi);
+            stripes.push(Stripe {
+                part: p,
+                halo_start,
+                own_start,
+                own_end,
+                halo_end,
+            });
+            let halo = (own_start - halo_start) + (halo_end - own_end);
+            stats.partition_owned[p] = own_end - own_start;
+            stats.partition_halo[p] = halo;
+            stats.halo_points += halo as u64;
+        }
+        (Layout { order, stripes }, stats)
+    }
+
+    /// Runs `work(sub, ids, owned)` on every stripe — `sub` holds the
+    /// stripe's and its halo's points, `ids` their ids in `data`, and
+    /// `owned` the stripe's own points as ids in `sub` — one stripe per
+    /// worker on up to `threads` workers (`0` = all cores). Returns the
+    /// outputs in stripe order and records each stripe's wall time in
+    /// `stats`.
+    fn run<T: Send>(
+        &self,
+        data: &Dataset,
+        threads: usize,
+        stats: &mut PartitionStats,
+        work: impl Fn(&Dataset, &[u32], Range<u32>) -> T + Sync,
+    ) -> Vec<T> {
+        let run_stripe = |s: &Stripe| {
+            let t0 = Instant::now();
+            let ids = &self.order[s.halo_start..s.halo_end];
+            let owned = (s.own_start - s.halo_start) as u32..(s.own_end - s.halo_start) as u32;
+            let out = work(&data.subset(ids), ids, owned);
+            (out, t0.elapsed())
+        };
+        let workers = effective_threads(threads).min(self.stripes.len().max(1));
+        let outs: Vec<(T, Duration)> = if workers <= 1 {
+            self.stripes.iter().map(run_stripe).collect()
+        } else {
+            let slots: Vec<Mutex<Option<(T, Duration)>>> =
+                self.stripes.iter().map(|_| Mutex::new(None)).collect();
+            let cursor = Mutex::new(0usize);
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| loop {
+                        let t = {
+                            let mut c = cursor.lock().expect("a partition worker panicked");
+                            let t = *c;
+                            *c += 1;
+                            t
+                        };
+                        let Some(s) = self.stripes.get(t) else { break };
+                        let out = run_stripe(s);
+                        *slots[t].lock().expect("a partition worker panicked") = Some(out);
+                    });
+                }
+            });
+            slots
+                .into_iter()
+                .map(|slot| {
+                    slot.into_inner()
+                        .expect("a partition worker panicked")
+                        .expect("every stripe was processed")
+                })
+                .collect()
+        };
+        outs.into_iter()
+            .zip(&self.stripes)
+            .map(|((out, took), s)| {
+                stats.partition_times[s.part] = took;
+                out
+            })
+            .collect()
+    }
+
     /// See [`PartitionStats::merge_edges`]: the pieces the partitions'
     /// own core–core unions leave, less the clusters they merge into.
     fn merge_edges(&self, neighbors: &[Vec<u32>], core: &[bool], clusters: u32) -> u64 {
@@ -117,6 +264,18 @@ impl Layout {
         let cores = core.iter().filter(|&&c| c).count() as u64;
         cores - joins - u64::from(clusters)
     }
+
+    /// Spreads per-stripe outputs, one per owned point in stripe order,
+    /// into a vector indexed by point id.
+    fn scatter<T: Default + Clone>(&self, per_stripe: Vec<Vec<T>>) -> Vec<T> {
+        let mut out = vec![T::default(); self.order.len()];
+        for (s, values) in self.stripes.iter().zip(per_stripe) {
+            for (&i, v) in self.order[s.own_start..s.own_end].iter().zip(values) {
+                out[i as usize] = v;
+            }
+        }
+        out
+    }
 }
 
 /// Computes every point's closed ε-neighborhood through per-partition
@@ -135,139 +294,25 @@ pub(crate) fn partitioned_neighborhoods(
     partitions: usize,
     threads: usize,
     precision: Precision,
-    sheet: Option<&std::sync::Arc<dbdc_obs::CounterSheet>>,
-    hist: Option<&std::sync::Arc<dbdc_obs::HistSheet>>,
+    sheet: Option<&Arc<CounterSheet>>,
+    hist: Option<&Arc<HistSheet>>,
 ) -> (Vec<Vec<u32>>, PartitionStats, Layout) {
-    let n = data.len();
-    let partitions = partitions.max(1).min(n.max(1));
-    let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut stats = PartitionStats {
-        partitions,
-        halo_points: 0,
-        partition_times: vec![Duration::ZERO; partitions],
-        partition_owned: vec![0; partitions],
-        partition_halo: vec![0; partitions],
-        merge_edges: 0,
-    };
-    if n == 0 {
-        return (neighbors, stats, Layout::default());
-    }
-
-    // Stripe along the widest-spread axis: striping a degenerate axis
-    // (e.g. always axis 0 on data extended along axis 1) would give
-    // every partition a halo covering nearly the whole dataset.
-    let bbox = data.bounding_rect().expect("non-empty dataset");
-    let axis = (0..data.dim())
-        .max_by(|&a, &b| {
-            let wa = bbox.hi()[a] - bbox.lo()[a];
-            let wb = bbox.hi()[b] - bbox.lo()[b];
-            wa.total_cmp(&wb)
-        })
-        .expect("dataset has at least 1 dimension");
-
-    // Count-balanced stripes over the axis-sorted order (ties broken by
-    // id so the partitioning is fully deterministic).
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| {
-        data.point(a)[axis]
-            .total_cmp(&data.point(b)[axis])
-            .then(a.cmp(&b))
-    });
-    let coord = |pos: usize| data.point(order[pos])[axis];
-    let per = n.div_ceil(partitions);
-    let mut stripes: Vec<Stripe> = Vec::with_capacity(partitions);
-    for p in 0..partitions {
-        let own_start = (p * per).min(n);
-        let own_end = ((p + 1) * per).min(n);
-        if own_start >= own_end {
-            continue;
-        }
-        // The halo is everything within ε of the stripe's coordinate
-        // range — contiguous in the sorted order, found by bisection.
-        let lo = coord(own_start) - eps;
-        let hi = coord(own_end - 1) + eps;
-        let halo_start = order[..own_start].partition_point(|&i| data.point(i)[axis] < lo);
-        let halo_end = own_end + order[own_end..].partition_point(|&i| data.point(i)[axis] <= hi);
-        stripes.push(Stripe {
-            part: p,
-            halo_start,
-            own_start,
-            own_end,
-            halo_end,
-        });
-        let halo = (own_start - halo_start) + (halo_end - own_end);
-        stats.partition_owned[p] = own_end - own_start;
-        stats.partition_halo[p] = halo;
-        stats.halo_points += halo as u64;
-    }
-
-    // One worker per partition (capped by `threads`); each builds the
-    // stripe's private index and answers its owned points' queries.
-    let workers = effective_threads(threads).min(stripes.len().max(1));
-    let run_stripe = |s: Stripe, ws: &mut QueryWorkspace| {
-        let t0 = Instant::now();
-        let sub_ids: Vec<u32> = order[s.halo_start..s.halo_end].to_vec();
-        let sub = data.subset(&sub_ids);
+    let (layout, mut stats) = Layout::new(data, eps, partitions);
+    let lists = layout.run(data, threads, &mut stats, |sub, ids, owned| {
         let opts = BuildOptions {
             threads: 1,
             precision,
         };
-        let index = build_index_opts(kind, &sub, Euclidean, eps, opts, sheet, hist);
-        let mut lists: Vec<Vec<u32>> = Vec::with_capacity(s.own_end - s.own_start);
-        let mut buf: Vec<u32> = Vec::new();
-        for pos in s.own_start..s.own_end {
-            let local = (pos - s.halo_start) as u32;
-            index.range_with(sub.point(local), eps, &mut buf, ws);
-            lists.push(buf.iter().map(|&l| sub_ids[l as usize]).collect());
-        }
-        (lists, t0.elapsed())
-    };
-    if workers <= 1 {
-        let mut ws = QueryWorkspace::new();
-        for &s in &stripes {
-            let (lists, took) = run_stripe(s, &mut ws);
-            stats.partition_times[s.part] = took;
-            for (k, nb) in lists.into_iter().enumerate() {
-                neighbors[order[s.own_start + k] as usize] = nb;
-            }
-        }
-        return (neighbors, stats, Layout { order, stripes });
-    }
-    type StripeOut = Option<(Vec<Vec<u32>>, Duration)>;
-    let outs: Vec<Mutex<StripeOut>> = stripes.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = Mutex::new(0usize);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // One workspace (and one range buffer inside the
-                // closure) per worker for the whole run.
-                let mut ws = QueryWorkspace::new();
-                loop {
-                    let t = {
-                        let mut c = cursor.lock().expect("a partition worker panicked");
-                        let t = *c;
-                        *c += 1;
-                        t
-                    };
-                    let Some(&s) = stripes.get(t) else { break };
-                    let out = run_stripe(s, &mut ws);
-                    *outs[t].lock().expect("a partition worker panicked") = Some(out);
-                }
-            });
-        }
+        let index = build_index_opts(kind, sub, Euclidean, eps, opts, sheet, hist);
+        let (mut buf, mut ws) = (Vec::new(), QueryWorkspace::new());
+        owned
+            .map(|local| {
+                index.range_with(sub.point(local), eps, &mut buf, &mut ws);
+                buf.iter().map(|&l| ids[l as usize]).collect()
+            })
+            .collect()
     });
-    for (slot, &s) in outs.iter().zip(&stripes) {
-        let (lists, took) = slot
-            .lock()
-            .expect("a partition worker panicked")
-            .take()
-            .expect("every stripe was processed");
-        stats.partition_times[s.part] = took;
-        for (k, nb) in lists.into_iter().enumerate() {
-            neighbors[order[s.own_start + k] as usize] = nb;
-        }
-    }
-    (neighbors, stats, Layout { order, stripes })
+    (layout.scatter(lists), stats, layout)
 }
 
 /// Partitioned DBSCAN: stripes + halos + per-partition indexes, merged
@@ -296,8 +341,11 @@ pub fn partitioned_dbscan(
 /// Partitioned variant of [`crate::par_dbscan::par_dbscan_with_scp`]:
 /// identical labels, and the specific-core-point representatives of a
 /// sequential run whose index answers in ascending id order — see the
-/// module docs. Every partition's index reports into the optional `sheet`
-/// (query work counters) and `hist` (per-query latency).
+/// module docs. Where the grid count-and-claim kernel applies, the
+/// stripes decide core flags on grids and `kind` goes unused; otherwise
+/// they gather lists through `kind`'s indexes. Either way the index work
+/// lands in the optional `sheet` (work counters) and `hist` (one
+/// latency sample per point).
 #[allow(clippy::too_many_arguments)]
 pub fn partitioned_dbscan_with_scp_observed(
     data: &Dataset,
@@ -306,13 +354,26 @@ pub fn partitioned_dbscan_with_scp_observed(
     partitions: usize,
     threads: usize,
     precision: Precision,
-    sheet: Option<&std::sync::Arc<dbdc_obs::CounterSheet>>,
-    hist: Option<&std::sync::Arc<dbdc_obs::HistSheet>>,
+    sheet: Option<&Arc<CounterSheet>>,
+    hist: Option<&Arc<HistSheet>>,
 ) -> (ScpResult, PartitionStats) {
-    let (neighbors, stats, _) = partitioned_neighborhoods(
-        data, kind, params.eps, partitions, threads, precision, sheet, hist,
-    );
-    let result = enhanced_dbscan(data, params, &neighbors[..], SeedOrder::Ascending);
+    let Some(cells) = Cells::fit(data, params.eps, precision) else {
+        let (neighbors, stats, _) = partitioned_neighborhoods(
+            data, kind, params.eps, partitions, threads, precision, sheet, hist,
+        );
+        let result = enhanced_dbscan(data, params, &neighbors[..], SeedOrder::Ascending);
+        return (result, stats);
+    };
+    let (layout, mut stats) = Layout::new(data, params.eps, partitions);
+    let flags = layout.run(data, threads, &mut stats, |sub, _, owned| {
+        let (flags, work) = core_flags(sub, owned, cells, params.min_pts, hist);
+        work.record(sheet);
+        flags
+    });
+    let grid = cells.grid(data);
+    let mut claims = Claims::new(&grid, data, cells, layout.scatter(flags));
+    let result = enhanced_dbscan(data, params, &mut claims, SeedOrder::Ascending);
+    claims.work.record(sheet);
     (result, stats)
 }
 

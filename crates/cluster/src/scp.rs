@@ -19,11 +19,19 @@
 //! can fall inside an early specific core point's neighborhood), via one
 //! extra range query per specific core point.
 //!
-//! One state machine serves every execution path. [`dbscan_with_scp`]
-//! feeds it range queries as it goes, in the index's answer order; the
-//! parallel layer replays it over cached lists in that same order, and
-//! the partitioned layer over lists that stand for ascending ids, sorting
-//! only the seeds each expansion claims.
+//! One state machine serves every execution path. Each expansion asks
+//! its source two questions — is `j` core, and which of `j`'s
+//! neighbours are still open (unclassified or noise) — and each
+//! specific core point one more: its ε-neighbourhood, for Definition 7.
+//! [`dbscan_with_scp`] answers them with range queries as it goes, in
+//! the index's answer order; the parallel layer replays it over cached
+//! lists in that same order. The partitioned layer runs it in ascending
+//! id order, sorting only the seeds each expansion claims: in up to
+//! [`crate::count_claim::MAX_DIM`] dimensions at f64, over the grid
+//! count-and-claim kernel ([`mod@crate::count_claim`]), which decides
+//! core flags on grid cells and scans only the open members of each
+//! cell; otherwise over gathered lists. Both partitioned sources give
+//! the same result.
 
 use crate::dbscan::{DbscanParams, DbscanResult};
 use dbdc_geom::{Clustering, Dataset, Label};
@@ -59,12 +67,50 @@ impl ScpResult {
 const UNCLASSIFIED: i64 = -2;
 const NOISE: i64 = -1;
 
-/// Where the enhanced DBSCAN reads each point's closed ε-neighborhood:
-/// a range query issued on the spot ([`dbscan_with_scp`]) or a list
-/// gathered beforehand (the parallel and partitioned layers).
+/// Where the enhanced DBSCAN learns the two facts an expansion needs
+/// about each point — is it core, and which of its neighbours are still
+/// open — plus each specific core point's neighbourhood for
+/// Definition 7. The sources: a range query issued on the spot
+/// ([`dbscan_with_scp`]), a list gathered beforehand (the parallel
+/// layer, and the partitioned one above the grid kernel's reach), or
+/// the partitioned layer's grid count-and-claim kernel
+/// ([`mod@crate::count_claim`]), which gathers no lists at all.
 pub(crate) trait Neighborhoods {
-    /// The ids within ε of point `i`, `i` included, each id once.
-    fn of(&mut self, i: u32) -> &[u32];
+    /// Looks point `j` up: whether its closed ε-neighbourhood holds at
+    /// least `min_pts` points.
+    fn is_core(&mut self, j: u32, min_pts: usize) -> bool;
+
+    /// Hands every open neighbour of `j` — its `state` unclassified or
+    /// noise — to `claim` once, with that state, which `claim` closes.
+    /// Called right after `is_core(j)` answered true.
+    fn claim(&mut self, j: u32, state: &mut [i64], claim: impl FnMut(u32, &mut i64));
+
+    /// Calls `visit` with every point within ε of `s`, `s` included.
+    fn each_neighbor(&mut self, s: u32, visit: impl FnMut(u32));
+}
+
+impl<N: Neighborhoods> Neighborhoods for &mut N {
+    fn is_core(&mut self, j: u32, min_pts: usize) -> bool {
+        (**self).is_core(j, min_pts)
+    }
+
+    fn claim(&mut self, j: u32, state: &mut [i64], claim: impl FnMut(u32, &mut i64)) {
+        (**self).claim(j, state, claim)
+    }
+
+    fn each_neighbor(&mut self, s: u32, visit: impl FnMut(u32)) {
+        (**self).each_neighbor(s, visit)
+    }
+}
+
+/// Hands the open ids of `list` to `claim`.
+fn claim_open(list: &[u32], state: &mut [i64], mut claim: impl FnMut(u32, &mut i64)) {
+    for &q in list {
+        let s = &mut state[q as usize];
+        if *s < 0 {
+            claim(q, s);
+        }
+    }
 }
 
 /// Answers every lookup with a fresh ε-range query on `index`.
@@ -76,27 +122,50 @@ struct Queries<'a> {
     ws: QueryWorkspace,
 }
 
-impl Neighborhoods for Queries<'_> {
-    fn of(&mut self, i: u32) -> &[u32] {
+impl Queries<'_> {
+    fn query(&mut self, i: u32) -> &[u32] {
         self.index
             .range_with(self.data.point(i), self.eps, &mut self.list, &mut self.ws);
         &self.list
     }
 }
 
-impl Neighborhoods for &[Vec<u32>] {
-    fn of(&mut self, i: u32) -> &[u32] {
-        &self[i as usize]
+impl Neighborhoods for Queries<'_> {
+    fn is_core(&mut self, j: u32, min_pts: usize) -> bool {
+        self.query(j).len() >= min_pts
+    }
+
+    /// Claims from the list `is_core(j)` just fetched.
+    fn claim(&mut self, _: u32, state: &mut [i64], claim: impl FnMut(u32, &mut i64)) {
+        claim_open(&self.list, state, claim)
+    }
+
+    fn each_neighbor(&mut self, s: u32, visit: impl FnMut(u32)) {
+        self.query(s).iter().copied().for_each(visit)
     }
 }
 
-/// The order the neighborhood lists stand for, which is the order an
-/// expansion pushes the points it claims onto the seed stack.
+impl Neighborhoods for &[Vec<u32>] {
+    fn is_core(&mut self, j: u32, min_pts: usize) -> bool {
+        self[j as usize].len() >= min_pts
+    }
+
+    fn claim(&mut self, j: u32, state: &mut [i64], claim: impl FnMut(u32, &mut i64)) {
+        claim_open(&self[j as usize], state, claim)
+    }
+
+    fn each_neighbor(&mut self, s: u32, visit: impl FnMut(u32)) {
+        self[s as usize].iter().copied().for_each(visit)
+    }
+}
+
+/// The order an expansion pushes the points it claims onto the seed
+/// stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SeedOrder {
-    /// The order the lists hold their ids in.
+    /// The order the source hands them over: a list's order.
     List,
-    /// Ascending ids, whatever order the lists hold them in.
+    /// Ascending ids, whatever order the source hands them over in.
     Ascending,
 }
 
@@ -146,12 +215,13 @@ pub fn dbscan_with_scp(
 }
 
 /// The enhanced-DBSCAN state machine behind every execution path.
-/// Each lookup in `source` counts as one of `range_queries`, so a run
-/// over cached lists reports the queries the sequential run issues.
+/// Each `is_core` and `each_neighbor` lookup in `source` counts as one
+/// of `range_queries`, so a run over cached lists or the grid kernel
+/// reports the queries the sequential run issues.
 ///
-/// Only specific-core-point selection depends on list order, and only
-/// through the order the seeds are pushed: one expansion claims exactly
-/// the unclassified ids of its list, each once. With
+/// Only specific-core-point selection depends on the source's order, and
+/// only through the order the seeds are pushed: one expansion claims
+/// exactly the unclassified points of its neighbourhood, each once. With
 /// [`SeedOrder::Ascending`] each expansion sorts the seeds it just
 /// pushed, which builds the stack ascending lists would, while sorting
 /// at most `n` ids in the whole run.
@@ -181,9 +251,8 @@ pub(crate) fn enhanced_dbscan(
         let cluster = scp_ids.len();
         let mut next = Some(i);
         while let Some(j) = next {
-            let neighbors = source.of(j);
             range_queries += 1;
-            if neighbors.len() >= params.min_pts {
+            if source.is_core(j, params.min_pts) {
                 if j == i {
                     scp_ids.push(Vec::new());
                     state[i as usize] = cluster as i64;
@@ -199,15 +268,12 @@ pub(crate) fn enhanced_dbscan(
                     list.push(j);
                 }
                 let start = seeds.len();
-                for &q in neighbors {
-                    let s = &mut state[q as usize];
+                source.claim(j, &mut state, |q, s| {
                     if *s == UNCLASSIFIED {
-                        *s = cluster as i64;
                         seeds.push(q);
-                    } else if *s == NOISE {
-                        *s = cluster as i64;
                     }
-                }
+                    *s = cluster as i64;
+                });
                 if order == SeedOrder::Ascending {
                     seeds[start..].sort_unstable();
                 }
@@ -224,12 +290,12 @@ pub(crate) fn enhanced_dbscan(
         let mut list = Vec::with_capacity(ids.len());
         for &s in ids {
             range_queries += 1;
-            let max_core_dist = source
-                .of(s)
-                .iter()
-                .filter(|&&q| core[q as usize])
-                .map(|&q| metric.dist(data.point(s), data.point(q)))
-                .fold(0.0f64, f64::max);
+            let mut max_core_dist = 0.0f64;
+            source.each_neighbor(s, |q| {
+                if core[q as usize] {
+                    max_core_dist = max_core_dist.max(metric.dist(data.point(s), data.point(q)));
+                }
+            });
             list.push(SpecificCorePoint {
                 point: s,
                 eps_range: params.eps + max_core_dist,

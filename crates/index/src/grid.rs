@@ -7,8 +7,9 @@
 //! paper's evaluation this is the fastest structure by a wide margin, which
 //! is why the index ablation benchmark includes it.
 //!
-//! Cell membership lives in a `HashMap` keyed by cell coordinates, but the
-//! points themselves are packed into two shared arenas — ids plus per-cell
+//! Cell membership lives in a `HashMap` keyed by cell coordinates (hashed
+//! with FxHash's multiply-rotate, not SipHash), but the points themselves
+//! are packed into two shared arenas — ids plus per-cell
 //! structure-of-arrays coordinate blocks (cells packed in colexicographic
 //! key order, the order queries visit them; per-cell insertion order
 //! preserved) — so scanning a cell is one batched
@@ -31,11 +32,43 @@ use crate::{Precision, QueryF32};
 use dbdc_geom::{Dataset, Metric};
 use dbdc_obs::CounterSheet;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Dimensions up to this size keep the odometer scan state on the
 /// stack; higher dimensions fall back to heap scratch per query.
 const STACK_DIM: usize = 16;
+
+/// A multiply-rotate hash (FxHash's) for cell keys. The grid hashes
+/// only its own lattice coordinates, so it has no use for SipHash's
+/// flooding resistance, and lookups are the odometer walk's inner loop.
+#[derive(Debug, Clone, Copy, Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Cell coordinates to `V`, hashed with [`CellHasher`].
+type CellMap<V> = HashMap<Box<[i64]>, V, BuildHasherDefault<CellHasher>>;
 
 /// A uniform grid over a dataset.
 #[derive(Debug, Clone)]
@@ -46,7 +79,7 @@ pub struct GridIndex<'a, M> {
     /// Cell coordinates -> the cell's rank among the occupied cells. A
     /// HashMap keeps memory proportional to the number of *occupied*
     /// cells, so sparse or clustered data does not explode the grid.
-    rank_of: HashMap<Box<[i64]>, u32>,
+    rank_of: CellMap<u32>,
     /// The occupied cells' coordinates, `dim` per cell, by rank: cells
     /// are ranked in colexicographic key order (last coordinate most
     /// significant), which is the odometer's visiting order.
@@ -74,6 +107,9 @@ pub struct GridCell<'g> {
     /// The cell's rank, `0..occupied_cells()`: a stable id for per-cell
     /// side tables.
     pub rank: usize,
+    /// The cell's lattice coordinates, `floor(x / cell)` per axis; ranks
+    /// follow their colexicographic order.
+    pub key: &'g [i64],
     /// The cell's point ids, in insertion (ascending id) order.
     pub ids: &'g [u32],
     /// The cell's coordinates, structure-of-arrays: coordinate `d` of
@@ -82,21 +118,21 @@ pub struct GridCell<'g> {
     pub cols: &'g [f64],
 }
 
-/// Packs a run of buckets into the given disjoint arena slices; the
-/// parallel build hands each worker one run.
-fn pack_run(data: &Dataset, run: &[(Box<[i64]>, Vec<u32>)], ids: &mut [u32], coords: &mut [f64]) {
+/// Packs the coordinates of a run of cells — `run` holds their id-arena
+/// offsets, one more than there are cells — into the run's disjoint
+/// slice of the coordinate arena; the parallel build hands each worker
+/// one run.
+fn pack_coords(data: &Dataset, ids: &[u32], run: &[u32], coords: &mut [f64]) {
     let dim = data.dim();
-    let mut i = 0usize;
     let mut c = 0usize;
-    for (_, pts) in run {
-        ids[i..i + pts.len()].copy_from_slice(pts);
+    for span in run.windows(2) {
+        let cell = &ids[span[0] as usize..span[1] as usize];
         for d in 0..dim {
-            for &p in pts {
+            for &p in cell {
                 coords[c] = data.point(p)[d];
                 c += 1;
             }
         }
-        i += pts.len();
     }
 }
 
@@ -115,11 +151,11 @@ impl<'a, M: Metric> GridIndex<'a, M> {
     }
 
     /// Builds the grid with `threads` construction workers and the
-    /// given scan-path precision. Bucketing and the key sort stay
-    /// sequential; the arena layout is then fully determined by a
-    /// prefix scan over the sorted buckets, so workers fill disjoint
-    /// arena ranges in parallel and the result is bit-identical at
-    /// every thread count.
+    /// given scan-path precision. Bucketing, the key sort and the id
+    /// arena stay sequential; the coordinate layout is then fully
+    /// determined by a prefix scan over the sorted cells, so workers
+    /// fill disjoint coordinate ranges in parallel and the result is
+    /// bit-identical at every thread count.
     ///
     /// # Panics
     /// Panics if `cell` is not finite and positive.
@@ -134,60 +170,81 @@ impl<'a, M: Metric> GridIndex<'a, M> {
             cell.is_finite() && cell > 0.0,
             "grid cell size must be positive and finite"
         );
-        let mut buckets: HashMap<Box<[i64]>, Vec<u32>> = HashMap::new();
-        for (i, p) in data.iter().enumerate() {
-            buckets
-                .entry(Self::cell_of(p, cell))
-                .or_default()
-                .push(i as u32);
+        // Bucket the points, allocating one key per occupied cell; the
+        // map's values become ranks once the cells are sorted.
+        let dim = data.dim();
+        let n = data.len();
+        let mut rank_of: CellMap<u32> = CellMap::default();
+        let mut bucket_of = Vec::with_capacity(n);
+        let mut sizes: Vec<u32> = Vec::new();
+        let mut key = Vec::with_capacity(dim);
+        for p in data.iter() {
+            key.clear();
+            key.extend(p.iter().map(|&c| Self::coord_of(c, cell)));
+            let bucket = match rank_of.get(&key[..]) {
+                Some(&b) => b,
+                None => {
+                    rank_of.insert(key.as_slice().into(), sizes.len() as u32);
+                    sizes.push(0);
+                    (sizes.len() - 1) as u32
+                }
+            };
+            sizes[bucket as usize] += 1;
+            bucket_of.push(bucket);
         }
         // Pack cells in sorted key order so the arena layout (and with
         // it any cache behavior) is deterministic regardless of hash
         // seeding; per-cell order stays insertion (ascending id) order.
         // Colexicographic order is the odometer's, so a query's cells
         // sit in the arenas in the order it scans them.
-        let mut buckets: Vec<(Box<[i64]>, Vec<u32>)> = buckets.into_iter().collect();
-        buckets.sort_by(|a, b| a.0.iter().rev().cmp(b.0.iter().rev()));
-        let dim = data.dim();
-        let n = data.len();
-        let mut rank_of = HashMap::with_capacity(buckets.len());
-        let mut keys = Vec::with_capacity(buckets.len() * dim);
-        let mut offsets = Vec::with_capacity(buckets.len() + 1);
+        let mut sorted: Vec<(&[i64], u32)> = rank_of.iter().map(|(k, &b)| (&k[..], b)).collect();
+        sorted.sort_by(|a, b| a.0.iter().rev().cmp(b.0.iter().rev()));
+        let mut rank_of_bucket = vec![0u32; sizes.len()];
+        let mut keys = Vec::with_capacity(sizes.len() * dim);
+        let mut offsets = Vec::with_capacity(sizes.len() + 1);
         offsets.push(0u32);
-        for (rank, (key, pts)) in buckets.iter().enumerate() {
-            rank_of.insert(key.clone(), rank as u32);
-            keys.extend_from_slice(key);
-            offsets.push(offsets[rank] + pts.len() as u32);
+        for (rank, &(k, bucket)) in sorted.iter().enumerate() {
+            rank_of_bucket[bucket as usize] = rank as u32;
+            keys.extend_from_slice(k);
+            offsets.push(offsets[rank] + sizes[bucket as usize]);
+        }
+        for r in rank_of.values_mut() {
+            *r = rank_of_bucket[*r as usize];
         }
         let mut ids = vec![0u32; n];
+        let mut next = offsets.clone();
+        for (i, &bucket) in bucket_of.iter().enumerate() {
+            let slot = &mut next[rank_of_bucket[bucket as usize] as usize];
+            ids[*slot as usize] = i as u32;
+            *slot += 1;
+        }
         let mut coords = vec![0.0f64; n * dim];
-        let workers = threads.max(1).min(buckets.len().max(1));
+        let cells = sizes.len();
+        let workers = threads.max(1).min(cells.max(1));
         {
-            // Carve the arenas into disjoint runs of roughly equal
-            // point count; each worker packs one run.
+            // Carve the coordinate arena into disjoint runs of cells of
+            // roughly equal point count; each worker packs one run.
             let target = n.div_ceil(workers).max(1);
-            let mut bucket_rest: &[(Box<[i64]>, Vec<u32>)] = &buckets;
-            let mut ids_rest: &mut [u32] = &mut ids;
+            let (ids, offsets) = (&ids[..], &offsets[..]);
+            let mut first = 0usize;
             let mut coords_rest: &mut [f64] = &mut coords;
             std::thread::scope(|s| {
-                while !bucket_rest.is_empty() {
-                    let mut take = 0usize;
-                    let mut pts = 0usize;
-                    while take < bucket_rest.len() && pts < target {
-                        pts += bucket_rest[take].1.len();
-                        take += 1;
+                while first < cells {
+                    let start = offsets[first] as usize;
+                    let mut last = first;
+                    while last < cells && (offsets[last] as usize - start) < target {
+                        last += 1;
                     }
-                    let (run, br) = bucket_rest.split_at(take);
-                    bucket_rest = br;
-                    let (id_run, ir) = std::mem::take(&mut ids_rest).split_at_mut(pts);
-                    ids_rest = ir;
+                    let run = &offsets[first..=last];
+                    let pts = offsets[last] as usize - start;
                     let (coord_run, cr) = std::mem::take(&mut coords_rest).split_at_mut(pts * dim);
                     coords_rest = cr;
                     if workers <= 1 {
-                        pack_run(data, run, id_run, coord_run);
+                        pack_coords(data, ids, run, coord_run);
                     } else {
-                        s.spawn(move || pack_run(data, run, id_run, coord_run));
+                        s.spawn(move || pack_coords(data, ids, run, coord_run));
                     }
+                    first = last;
                 }
             });
         }
@@ -229,8 +286,9 @@ impl<'a, M: Metric> GridIndex<'a, M> {
         self
     }
 
-    fn cell_of(p: &[f64], cell: f64) -> Box<[i64]> {
-        p.iter().map(|&c| (c / cell).floor() as i64).collect()
+    /// The lattice coordinate of `c` in a grid of side `cell`.
+    fn coord_of(c: f64, cell: f64) -> i64 {
+        (c / cell).floor() as i64
     }
 
     /// The configured cell side length.
@@ -253,6 +311,7 @@ impl<'a, M: Metric> GridIndex<'a, M> {
         let dim = self.data.dim();
         GridCell {
             rank,
+            key: &self.keys[dim * rank..dim * (rank + 1)],
             cols: &self.coords[dim * span.start..dim * span.end],
             ids: &self.ids[span],
         }

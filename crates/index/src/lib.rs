@@ -8,8 +8,8 @@
 //!
 //! All vector indexes borrow the [`Dataset`] they are built over and return
 //! point indices into it; they never copy coordinates. The metric-space
-//! indexes ([`MTree`], [`VpTree`]) own their objects instead, since there
-//! is no flat storage for arbitrary `T`.
+//! index ([`MTree`]) owns its objects instead, since there is no flat
+//! storage for arbitrary `T`.
 
 pub mod grid;
 pub mod kdtree;
@@ -17,7 +17,6 @@ pub mod latency;
 pub mod linear;
 pub mod mtree;
 pub mod rstar;
-pub mod vptree;
 
 use dbdc_geom::{Dataset, Metric};
 
@@ -28,7 +27,6 @@ pub use latency::LatencyObserved;
 pub use linear::LinearScan;
 pub use mtree::MTree;
 pub use rstar::RStarTree;
-pub use vptree::VpTree;
 
 /// Reusable per-query scratch for [`NeighborIndex::range_with`].
 ///
