@@ -22,30 +22,28 @@
 //!   assembled from live sheets. Crash-safe visibility: whatever a
 //!   scrape captured survives the process dying a millisecond later.
 //!
-//! The responder runs one accept-loop thread and handles each
-//! connection inline (admin traffic is a poll every second or so, not a
-//! serving workload). It holds only `Arc`s and boxed closures, so the
-//! instrumented run never synchronizes with it beyond the relaxed
-//! atomic reads the snapshot engine already does.
+//! The responder runs one thread that blocks in `accept` and handles
+//! each connection inline (admin traffic is a poll every second or so,
+//! not a serving workload); shutdown wakes it with one loopback
+//! self-connect, so an idle admin plane costs no wake-ups. It holds only
+//! `Arc`s and boxed closures, so the instrumented run never
+//! synchronizes with it beyond the relaxed atomic reads the snapshot
+//! engine already does.
 //!
 //! [`TelemetrySnapshot`]: dbdc_obs::TelemetrySnapshot
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dbdc_obs::SnapshotEngine;
 
+use crate::accept::AcceptLoop;
+
 /// How long a connection may dribble its request/response before the
 /// responder gives up on it.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Accept-loop poll interval while idle (the listener is nonblocking so
-/// shutdown can be observed).
-const POLL: Duration = Duration::from_millis(25);
 
 /// What the admin endpoints serve, bundled by the binary that owns the
 /// run.
@@ -61,64 +59,29 @@ pub struct AdminState {
 /// A running admin listener; dropping (or [`AdminServer::shutdown`])
 /// stops the accept loop.
 pub struct AdminServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    acceptor: AcceptLoop,
 }
 
 impl AdminServer {
     /// Binds `addr` (e.g. `127.0.0.1:0`) and starts serving.
     pub fn spawn(addr: &str, state: AdminState) -> io::Result<AdminServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("dbdc-admin".into())
-            .spawn(move || accept_loop(listener, state, thread_stop))?;
-        Ok(AdminServer {
-            addr: local,
-            stop,
-            handle: Some(handle),
-        })
+        let acceptor = AcceptLoop::spawn(listener, "dbdc-admin", Arc::default(), move |stream| {
+            // Inline handling: admin requests are tiny and rare, and a
+            // slow client is bounded by IO_TIMEOUT.
+            let _ = handle_connection(stream, &state);
+        })?;
+        Ok(AdminServer { acceptor })
     }
 
     /// The bound address (with the real port when `:0` was requested).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Stops the accept loop and joins the thread.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for AdminServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn accept_loop(listener: TcpListener, state: AdminState, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Inline handling: admin requests are tiny and rare, and
-                // a slow client is bounded by IO_TIMEOUT.
-                let _ = handle_connection(stream, &state);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
+        self.acceptor.shutdown();
     }
 }
 
@@ -222,7 +185,7 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> io::Result<(u16, S
 mod tests {
     use super::*;
     use dbdc_obs::{Recorder, RecordingRecorder, RunReport, TelemetrySnapshot};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn spawn_admin(ready: bool) -> (AdminServer, Arc<RecordingRecorder>) {
         let rec = Arc::new(RecordingRecorder::new());
@@ -293,6 +256,20 @@ mod tests {
         assert_eq!(report.role.as_deref(), Some("server"));
         let net = report.scopes.iter().find(|(n, _)| n == "net/server");
         assert_eq!(net.unwrap().1.frames_received, 1);
+    }
+
+    #[test]
+    fn shutdown_returns_without_any_client() {
+        let (admin, _rec) = spawn_admin(true);
+        let (done, finished) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            admin.shutdown();
+            done.send(()).expect("test still waiting");
+        });
+        finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("shutdown of an admin plane no client reached returned");
+        stopper.join().expect("shutdown thread panicked");
     }
 
     #[test]

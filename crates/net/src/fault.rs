@@ -18,6 +18,7 @@ use std::time::Duration;
 
 use dbdc_obs::{CounterSheet, Recorder};
 
+use crate::accept::AcceptLoop;
 use crate::frame::FRAME_OVERHEAD;
 
 /// SplitMix64: tiny, seedable, and plenty for fault scheduling.
@@ -161,10 +162,8 @@ impl FaultStats {
 
 /// A frame-aware TCP proxy injecting deterministic faults.
 pub struct FaultProxy {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     stats: Arc<FaultStats>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    acceptor: AcceptLoop,
 }
 
 /// Per-direction counter sheets the proxy mirrors its mischief into:
@@ -201,48 +200,28 @@ impl FaultProxy {
         sheets: DirectionSheets,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(FaultStats::default());
-        let accept_stop = Arc::clone(&stop);
-        let accept_stats = Arc::clone(&stats);
-        let accept_thread = std::thread::spawn(move || {
-            let mut conn_id = 0u64;
-            while !accept_stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((client, _)) => {
-                        conn_id += 1;
-                        let id = conn_id;
-                        let stats = Arc::clone(&accept_stats);
-                        let stop = Arc::clone(&accept_stop);
-                        let sheets = sheets.clone();
-                        std::thread::spawn(move || {
-                            // Connection handling is best-effort: a dead
-                            // upstream or mid-stream kill is exactly the
-                            // failure mode under test.
-                            let _ =
-                                relay_connection(client, upstream, plan, id, stats, stop, sheets);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(FaultProxy {
-            addr,
-            stop,
-            stats,
-            accept_thread: Some(accept_thread),
-        })
+        let (pump_stop, pump_stats) = (Arc::clone(&stop), Arc::clone(&stats));
+        let mut conn_id = 0u64;
+        let acceptor = AcceptLoop::spawn(listener, "dbdc-proxy", stop, move |client| {
+            conn_id += 1;
+            let id = conn_id;
+            let stats = Arc::clone(&pump_stats);
+            let stop = Arc::clone(&pump_stop);
+            let sheets = sheets.clone();
+            std::thread::spawn(move || {
+                // Connection handling is best-effort: a dead upstream or
+                // mid-stream kill is exactly the failure mode under test.
+                let _ = relay_connection(client, upstream, plan, id, stats, stop, sheets);
+            });
+        })?;
+        Ok(FaultProxy { stats, acceptor })
     }
 
     /// The address sites should connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// The proxy's fault counters.
@@ -250,19 +229,11 @@ impl FaultProxy {
         &self.stats
     }
 
-    /// Stops accepting new connections (existing pumps drain on their
-    /// own when their streams die).
+    /// Stops accepting new connections; the pumps of open connections
+    /// see the same stop flag at their next read timeout. Dropping the
+    /// proxy does the same.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for FaultProxy {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.acceptor.shutdown();
     }
 }
 
@@ -470,6 +441,22 @@ mod tests {
                 "band {i} got share {share}, expected ~0.25"
             );
         }
+    }
+
+    #[test]
+    fn shutdown_returns_without_any_client() {
+        let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
+        let mut proxy = FaultProxy::spawn(upstream.local_addr().unwrap(), FaultPlan::clean(1))
+            .expect("spawn proxy");
+        let (done, finished) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            proxy.shutdown();
+            done.send(()).expect("test still waiting");
+        });
+        finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("shutdown of a proxy no client reached returned");
+        stopper.join().expect("shutdown thread panicked");
     }
 
     #[test]

@@ -1,9 +1,28 @@
 //! The DBDC server over real TCP.
 //!
-//! [`serve`] accepts connections from `n_sites` client sites
-//! (thread-per-connection), runs the session protocol with each, builds
-//! the global model exactly once when the last local model arrives, and
-//! returns when every site has confirmed receipt of the broadcast.
+//! [`serve`] runs the session protocol with `n_sites` client sites,
+//! builds the global model exactly once when the last local model
+//! arrives, and returns when every site has confirmed receipt of the
+//! broadcast.
+//!
+//! # Handlers
+//!
+//! No thread polls for a connection or for the global model. [`serve`]
+//! starts `n_sites + 1` handler threads before any site connects, one
+//! per site and a spare; each blocks in `accept` itself, serves the
+//! connection it gets inline, and goes back to `accept`. No thread is
+//! started between a connection arriving and its HELLO being read in a
+//! clean session. The serving thread sleeps on a condition variable
+//! until the deadline or the end of the drain window, and starts
+//! another handler whenever none is left idle in `accept`, whatever the
+//! busy ones' peers send. So a connection never waits in the backlog
+//! for a handler: a site that replays its session finds one while the
+//! handlers of its earlier connections still wait, and so does the last
+//! honest site beside a peer that holds a handler. At the end the
+//! serving thread wakes each handler still in `accept` with one
+//! loopback self-connect. A wake is never counted as a connection,
+//! never handled, and never left in the listener's backlog for the next
+//! session on the same listener.
 //!
 //! # Recovery model
 //!
@@ -22,13 +41,15 @@
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dbdc::wire;
 use dbdc::{server_phase, DbdcParams, GlobalModel, LocalModel, ServerPhase};
-use dbdc_obs::{Counter, Recorder};
+use dbdc_obs::{Counter, CounterSheet, Recorder};
 
+use crate::accept::{accept, wake};
 use crate::error::NetError;
 use crate::frame::{Frame, FrameKind, Hello, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use crate::metrics::WireMetrics;
@@ -97,8 +118,9 @@ pub struct ServerOutcome {
     /// Measured wall time from the global model being ready until the
     /// last site confirmed receipt — the real broadcast phase.
     pub broadcast_wall: Duration,
-    /// Connections accepted over the run (> `n_sites` means retries
-    /// happened).
+    /// Connections accepted over the run (> `n_sites` means retries or
+    /// peers beyond the sites); the wakes that end the run are not
+    /// counted.
     pub connections: u64,
     /// Measured wall time of the whole serve call — bind to return,
     /// drain window included. Unlike the phase walls it bounds every
@@ -118,12 +140,16 @@ struct ServerState {
     uploads: Vec<Option<Vec<u8>>>,
     global: Option<ServerPhase>,
     acked: Vec<bool>,
-    active_conns: usize,
     last_activity: Instant,
     upload_wall: Duration,
     global_wall: Duration,
     all_acked_at: Option<Instant>,
     handshakes: Vec<Option<(Duration, Duration)>>,
+    /// Handlers in (or on their way into) `accept`; the serving thread
+    /// starts another whenever this reaches 0.
+    idle: usize,
+    /// The first accept error; it ends the run.
+    accept_error: Option<std::io::Error>,
 }
 
 impl ServerState {
@@ -137,20 +163,39 @@ impl ServerState {
 }
 
 struct Shared {
+    listener: TcpListener,
     state: Mutex<ServerState>,
+    /// Signals the global model, acks, an accept that left no handler
+    /// idle, an accept error, and `stop`.
     ready: Condvar,
+    /// Set only while `state` is locked, so a handler that checked it
+    /// before waiting on `ready` cannot miss the notify that follows.
     stop: AtomicBool,
     connections: AtomicU64,
     started: Instant,
     opts: ServeOptions,
 }
 
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, ServerState> {
+        self.state.lock().expect("server state poisoned")
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+}
+
 /// Runs a full DBDC serving session on `listener` (which should already
 /// be bound; pass a `127.0.0.1:0` bind for tests). Blocks until all
-/// sites confirm the broadcast or the deadline passes. Counter scopes
-/// land in `rec` under `server` (bytes up/down, representatives) and
-/// `net/server` (wire traffic, aggregate + per frame kind), with frame
-/// and per-connection latencies in the `net/*_ns` histograms.
+/// sites confirm the broadcast or the deadline passes, and joins every
+/// handler thread it started before it returns, unless it cannot
+/// connect to its own listener to wake them: it then returns that error
+/// and each handler still in `accept` exits on the listener's next
+/// connection. Counter scopes land in `rec` under `server` (bytes
+/// up/down, representatives) and `net/server` (wire traffic, aggregate +
+/// per frame kind), with frame and per-connection latencies in the
+/// `net/*_ns` histograms.
 pub fn serve(
     listener: TcpListener,
     opts: ServeOptions,
@@ -160,18 +205,26 @@ pub fn serve(
         opts.n_sites > 0,
         "a serving session needs at least one site"
     );
-    listener.set_nonblocking(true)?;
+    listener.set_nonblocking(false)?;
+    let addr = listener.local_addr()?;
+    // One handler per site and a spare, so a clean session starts no
+    // thread while its sites connect.
+    let n_handlers = opts.n_sites + 1;
+    let n_sites = opts.n_sites;
     let shared = Arc::new(Shared {
+        listener,
         state: Mutex::new(ServerState {
-            uploads: vec![None; opts.n_sites],
+            uploads: vec![None; n_sites],
             global: None,
-            acked: vec![false; opts.n_sites],
-            active_conns: 0,
+            acked: vec![false; n_sites],
             last_activity: Instant::now(),
             upload_wall: Duration::ZERO,
             global_wall: Duration::ZERO,
             all_acked_at: None,
-            handshakes: vec![None; opts.n_sites],
+            handshakes: vec![None; n_sites],
+            // The first handlers count as idle before they start.
+            idle: n_handlers,
+            accept_error: None,
         }),
         ready: Condvar::new(),
         stop: AtomicBool::new(false),
@@ -181,65 +234,90 @@ pub fn serve(
     });
     let sheet = rec.sheet("server");
     let wire = WireMetrics::new(rec, "net/server");
+    let spawn_handler = || {
+        let (shared, sheet, wire) = (Arc::clone(&shared), sheet.clone(), wire.clone());
+        std::thread::Builder::new()
+            .name("dbdc-serve".into())
+            .spawn(move || run_handler(&shared, sheet.as_ref(), &wire))
+    };
 
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let outcome = loop {
-        if shared.started.elapsed() > shared.opts.deadline {
-            shared.stop.store(true, Ordering::Relaxed);
-            break Err(NetError::Deadline);
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared.connections.fetch_add(1, Ordering::Relaxed);
-                {
-                    let mut st = shared.state.lock().expect("server state poisoned");
-                    st.active_conns += 1;
-                    st.last_activity = Instant::now();
-                }
-                let shared = Arc::clone(&shared);
-                let sheet = sheet.clone();
-                let wire = wire.clone();
-                handlers.push(std::thread::spawn(move || {
-                    let _ = handle_connection(stream, &shared, sheet.as_ref(), &wire);
-                    let mut st = shared.state.lock().expect("server state poisoned");
-                    st.active_conns -= 1;
-                    st.last_activity = Instant::now();
-                    shared.ready.notify_all();
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+    let mut handlers: Vec<JoinHandle<()>> = Vec::with_capacity(n_handlers);
+    let mut outcome = Ok(());
+    for spawned in 0..n_handlers {
+        match spawn_handler() {
+            Ok(handle) => handlers.push(handle),
             Err(e) => {
-                shared.stop.store(true, Ordering::Relaxed);
-                break Err(NetError::Io(e));
+                shared.lock().idle -= n_handlers - spawned;
+                outcome = Err(NetError::Io(e));
+                break;
             }
         }
-        let st = shared.state.lock().expect("server state poisoned");
+    }
+    let opts = &shared.opts;
+    let mut st = shared.lock();
+    while outcome.is_ok() {
+        if let Some(e) = st.accept_error.take() {
+            outcome = Err(NetError::Io(e));
+            break;
+        }
+        let Some(mut wait) = opts.deadline.checked_sub(shared.started.elapsed()) else {
+            outcome = Err(NetError::Deadline);
+            break;
+        };
         if st.all_acked_at.is_some() {
             // Stay up through the drain window (measured from the last
             // connection activity) so a site whose GOODBYE was lost can
             // come back mid-backoff and re-confirm.
-            let quiet = st.last_activity.elapsed() > shared.opts.drain_window;
-            if quiet {
-                // Tell lingering handlers (e.g. a dangling connection
-                // that never sent HELLO) to stop re-arming their reads.
-                shared.stop.store(true, Ordering::Relaxed);
-                if st.active_conns == 0 {
-                    drop(st);
-                    break Ok(());
-                }
+            match opts.drain_window.checked_sub(st.last_activity.elapsed()) {
+                Some(left) if !left.is_zero() => wait = wait.min(left),
+                _ => break,
             }
         }
-    };
-    // Handler threads poll `stop` between blocking reads (which are all
-    // timeout-bounded), so this join is prompt.
-    for h in handlers {
-        let _ = h.join();
+        if st.idle == 0 {
+            // Every handler is busy, and any of them may hold its peer
+            // until the run stops: the next connection gets a new one.
+            match spawn_handler() {
+                Ok(handle) => {
+                    handlers.push(handle);
+                    st.idle += 1;
+                }
+                Err(e) => outcome = Err(NetError::Io(e)),
+            }
+            continue;
+        }
+        st = shared
+            .ready
+            .wait_timeout(st, wait)
+            .expect("server state poisoned")
+            .0;
     }
+    // From here a handler that finishes its connection exits instead of
+    // going back to `accept`, and each one already there takes a wake.
+    shared.stop.store(true, Ordering::Release);
+    let wakes = st.idle;
+    drop(st);
+    shared.ready.notify_all();
+    for _ in 0..wakes {
+        // `wake` retries a failed connect; one that still fails leaves a
+        // handler blocked, so the run reports the error rather than wait.
+        wake(addr)?;
+    }
+    // A handler still serving a connection sees `stop` at its next read
+    // timeout; one whose peer trickles a frame in waits for that frame to
+    // end or the peer to close.
+    let mut panicked = None;
+    for h in handlers {
+        if let Err(panic) = h.join() {
+            panicked.get_or_insert(panic);
+        }
+    }
+    if let Some(panic) = panicked {
+        std::panic::resume_unwind(panic);
+    }
+    drain_backlog(&shared.listener)?;
     outcome?;
 
-    let mut st = shared.state.lock().expect("server state poisoned");
+    let mut st = shared.lock();
     let per_site_bytes_up: Vec<usize> = st.uploads.iter().flatten().map(Vec::len).collect();
     let ServerPhase {
         models,
@@ -267,12 +345,58 @@ pub fn serve(
     })
 }
 
+/// Takes whatever the listener's backlog still holds once every handler
+/// has exited: a wake whose handler accepted a late connection instead.
+/// The next session on a clone of this listener then starts clean.
+fn drain_backlog(listener: &TcpListener) -> std::io::Result<()> {
+    listener.set_nonblocking(true)?;
+    while listener.accept().is_ok() {}
+    listener.set_nonblocking(false)
+}
+
+/// One handler thread: blocks in `accept`, serves the connection inline,
+/// and goes back to `accept` until the run stops. It starts counted in
+/// `idle`.
+fn run_handler(shared: &Shared, sheet: Option<&Arc<CounterSheet>>, wire: &WireMetrics) {
+    loop {
+        let accepted = accept(&shared.listener);
+        let mut st = shared.lock();
+        st.idle -= 1;
+        if shared.stopped() {
+            // A wake, or a connection too late for this run: dropped
+            // unread and uncounted.
+            return;
+        }
+        let stream = match accepted {
+            Ok(stream) => stream,
+            Err(e) => {
+                st.accept_error.get_or_insert(e);
+                shared.ready.notify_all();
+                return;
+            }
+        };
+        st.last_activity = Instant::now();
+        if st.idle == 0 {
+            shared.ready.notify_all();
+        }
+        drop(st);
+        shared.connections.fetch_add(1, Ordering::Relaxed);
+        let _ = handle_connection(stream, shared, sheet, wire);
+        let mut st = shared.lock();
+        st.last_activity = Instant::now();
+        if shared.stopped() {
+            return;
+        }
+        st.idle += 1;
+    }
+}
+
 /// One connection's session. Any error just abandons the connection —
 /// the site owns recovery by replaying.
 fn handle_connection(
     mut stream: TcpStream,
     shared: &Shared,
-    sheet: Option<&std::sync::Arc<dbdc_obs::CounterSheet>>,
+    sheet: Option<&Arc<CounterSheet>>,
     wire: &WireMetrics,
 ) -> Result<(), NetError> {
     let opts = &shared.opts;
@@ -308,7 +432,7 @@ fn handle_connection(
     {
         // Overwrite-last: the connection that completes the session is
         // the site's final (successful) attempt.
-        let mut st = shared.state.lock().expect("server state poisoned");
+        let mut st = shared.lock();
         st.handshakes[site] = Some((hs_start, conn_start.elapsed()));
     }
 
@@ -324,7 +448,7 @@ fn handle_connection(
     // delivered" so the site retries.
     wire::decode_local_model(&frame.payload)?;
     {
-        let mut st = shared.state.lock().expect("server state poisoned");
+        let mut st = shared.lock();
         if st.uploads[site].is_none() {
             if let Some(s) = sheet {
                 s.add_to(Counter::bytes_received, frame.payload.len() as u64);
@@ -347,21 +471,16 @@ fn handle_connection(
     }
     wire.write_frame_observed(&mut stream, &Frame::bare(FrameKind::ModelAck))?;
 
-    // --- Wait for the global model (the last uploader builds it). ---
+    // --- Wait for the global model (the last uploader builds it; the
+    // serving thread's `stop` ends the wait at the deadline). ---
     let encoded_global = {
-        let mut st = shared.state.lock().expect("server state poisoned");
-        loop {
-            if let Some(phase) = &st.global {
-                break phase.encoded.to_vec();
-            }
-            if shared.stop.load(Ordering::Relaxed) || shared.started.elapsed() > opts.deadline {
-                return Err(NetError::Deadline);
-            }
-            let (guard, _) = shared
-                .ready
-                .wait_timeout(st, Duration::from_millis(50))
-                .expect("server state poisoned");
-            st = guard;
+        let st = shared
+            .ready
+            .wait_while(shared.lock(), |st| st.global.is_none() && !shared.stopped())
+            .expect("server state poisoned");
+        match &st.global {
+            Some(phase) => phase.encoded.to_vec(),
+            None => return Err(NetError::Deadline),
         }
     };
 
@@ -377,7 +496,7 @@ fn handle_connection(
         match wire.read_frame_observed(&mut stream, opts.max_frame_bytes) {
             Ok(f) if f.kind == FrameKind::GlobalAck => {
                 {
-                    let mut st = shared.state.lock().expect("server state poisoned");
+                    let mut st = shared.lock();
                     st.acked[site] = true;
                     if st.all_acked() && st.all_acked_at.is_none() {
                         st.all_acked_at = Some(Instant::now());
@@ -395,7 +514,7 @@ fn handle_connection(
                     f.kind.name()
                 )));
             }
-            Err(e) if e.is_timeout() && !shared.stop.load(Ordering::Relaxed) => {
+            Err(e) if e.is_timeout() && !shared.stopped() => {
                 // Ack lost or site still reading: resend the broadcast.
                 continue;
             }
@@ -442,7 +561,7 @@ fn read_frame_interruptible(
         match wire.read_frame_observed(stream, shared.opts.max_frame_bytes) {
             Err(e)
                 if e.is_timeout()
-                    && !shared.stop.load(Ordering::Relaxed)
+                    && !shared.stopped()
                     && shared.started.elapsed() < shared.opts.deadline =>
             {
                 continue;

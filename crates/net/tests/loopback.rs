@@ -1,8 +1,10 @@
 //! In-process loopback: a real TCP server and real TCP sites on
 //! 127.0.0.1, asserted label-identical to the single-process runtime —
-//! with and without an adversarial link in the middle.
+//! with and without an adversarial link in the middle, beside hostile
+//! peers on raw sockets, and over one listener reused across sessions.
 
-use std::net::TcpListener;
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use dbdc::{run_dbdc, DbdcOutcome, DbdcParams, EpsGlobal, Partitioner};
@@ -10,8 +12,9 @@ use dbdc_datagen::dataset_c;
 use dbdc_geom::{Clustering, Dataset, Label};
 use dbdc_index::Precision;
 use dbdc_net::{
-    run_site, serve, FaultPlan, FaultProxy, NetError, RetryPolicy, ServeOptions, ServerOutcome,
-    SiteOptions, SiteOutcome,
+    read_frame, run_site, serve, write_frame, FaultPlan, FaultProxy, Frame, FrameKind, Hello,
+    NetError, RetryPolicy, ServeOptions, ServerOutcome, SiteOptions, SiteOutcome,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 use dbdc_obs::{NoopRecorder, RecordingRecorder};
 
@@ -450,4 +453,159 @@ fn topology_mismatch_is_fatal_but_session_recovers() {
     assert_eq!(good.attempts, 1);
     let server = server.join().expect("server thread panicked");
     assert!(server.is_ok(), "server failed: {:?}", server.err());
+}
+
+/// Serves one session of the honest fleet on `listener`, with `peer`
+/// run after `serve` is spawned and before any site starts; whatever
+/// `peer` returns (an open socket, say) stays alive until `serve` has
+/// returned. Asserts what nothing beside the fleet may change: `serve`
+/// returns `Ok`, every site finishes in one attempt, and the labels are
+/// `run_dbdc`'s.
+fn honest_session<T>(
+    data: &Dataset,
+    listener: TcpListener,
+    serve_opts: ServeOptions,
+    rec: &RecordingRecorder,
+    peer: impl FnOnce(SocketAddr) -> T,
+) -> (ServerOutcome, T) {
+    let (parts, back) = split(data);
+    let addr = listener.local_addr().expect("local addr");
+    let (server, sites, peer) = std::thread::scope(|scope| {
+        let server = scope.spawn(|| serve(listener, serve_opts, rec));
+        let peer = peer(addr);
+        let handles: Vec<_> = parts
+            .iter()
+            .enumerate()
+            .map(|(site, part)| {
+                let mut opts = SiteOptions::new(site as u32, N_SITES as u32, params());
+                opts.read_timeout = Duration::from_secs(2);
+                scope.spawn(move || run_site(addr, part, &opts, &NoopRecorder))
+            })
+            .collect();
+        let sites: Vec<SiteOutcome> = handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .expect("site thread panicked")
+                    .expect("honest site completes")
+            })
+            .collect();
+        let server = server.join().expect("server thread panicked");
+        (server.expect("server completes"), sites, peer)
+    });
+    for (site, s) in sites.iter().enumerate() {
+        assert_eq!(s.attempts, 1, "site {site} needed retries");
+    }
+    assert_eq!(
+        reassemble(data.len(), &back, &sites),
+        expected(data).assignment
+    );
+    (server, peer)
+}
+
+/// Server options for the hostile-peer tests: a handler left reading
+/// from a silent peer sees the run's stop within 200 ms, so `serve`
+/// returns soon after the sites' session.
+fn hostile_serve_opts() -> ServeOptions {
+    let mut o = ServeOptions::new(N_SITES, params());
+    o.read_timeout = Duration::from_millis(200);
+    o.drain_window = Duration::from_millis(150);
+    o.deadline = Duration::from_secs(20);
+    o
+}
+
+fn bind() -> TcpListener {
+    TcpListener::bind("127.0.0.1:0").expect("bind loopback")
+}
+
+#[test]
+fn silent_peer_before_the_sites_cannot_stall_the_fleet() {
+    let g = dataset_c(37);
+    let rec = RecordingRecorder::new();
+    // Connected first, so a handler takes it before any site.
+    let (server, _silent) = honest_session(&g.data, bind(), hostile_serve_opts(), &rec, |addr| {
+        TcpStream::connect(addr).expect("silent peer connects")
+    });
+    assert_eq!(server.connections, N_SITES as u64 + 1);
+}
+
+/// A peer that sends a frame one byte at a time, each well inside the
+/// server's read timeout, holds its handler without any read of it
+/// timing out. The server's reads wait longer than the sites' here, so
+/// a spare that waited for some read to time out would come after the
+/// last site had given up its first attempt.
+#[test]
+fn trickling_peer_before_the_sites_cannot_stall_the_fleet() {
+    let g = dataset_c(41);
+    let rec = RecordingRecorder::new();
+    let mut serve_opts = hostile_serve_opts();
+    serve_opts.read_timeout = Duration::from_secs(3);
+    let (server, trickle) = honest_session(&g.data, bind(), serve_opts, &rec, |addr| {
+        // Connected first, so a handler takes it before any site.
+        let mut s = TcpStream::connect(addr).expect("trickling peer connects");
+        std::thread::spawn(move || {
+            // A length prefix for 64 body bytes, then 25 of them 100 ms
+            // apart; the close then ends the handler's read.
+            s.write_all(&64u32.to_le_bytes()).expect("write prefix");
+            for _ in 0..25 {
+                std::thread::sleep(Duration::from_millis(100));
+                if s.write_all(&[0]).is_err() {
+                    break;
+                }
+            }
+        })
+    });
+    trickle.join().expect("trickling peer panicked");
+    assert_eq!(server.connections, N_SITES as u64 + 1);
+}
+
+#[test]
+fn duplicate_site_hello_cannot_stall_the_fleet() {
+    let g = dataset_c(38);
+    let rec = RecordingRecorder::new();
+    let (server, _impostor) = honest_session(&g.data, bind(), hostile_serve_opts(), &rec, |addr| {
+        // Claims site 0 and is let in, then never uploads; the honest
+        // site 0 sends the second HELLO for that id.
+        let mut s = TcpStream::connect(addr).expect("impostor connects");
+        let hello = Hello::new(0, N_SITES as u32).encode();
+        write_frame(&mut s, &Frame::new(FrameKind::Hello, hello)).expect("write HELLO");
+        let reply = read_frame(&mut s, DEFAULT_MAX_FRAME_BYTES).expect("read reply");
+        assert_eq!(reply.kind, FrameKind::HelloAck);
+        s
+    });
+    assert_eq!(server.connections, N_SITES as u64 + 1);
+}
+
+#[test]
+fn oversized_site_count_is_rejected_and_the_fleet_finishes() {
+    let g = dataset_c(39);
+    let rec = RecordingRecorder::new();
+    honest_session(&g.data, bind(), hostile_serve_opts(), &rec, |addr| {
+        let mut s = TcpStream::connect(addr).expect("misconfigured peer connects");
+        let hello = Hello::new(0, N_SITES as u32 + 1).encode();
+        write_frame(&mut s, &Frame::new(FrameKind::Hello, hello)).expect("write HELLO");
+        let reply = read_frame(&mut s, DEFAULT_MAX_FRAME_BYTES).expect("read reply");
+        assert_eq!(reply.kind, FrameKind::Error);
+        let reason = String::from_utf8_lossy(&reply.payload);
+        assert!(reason.contains("site count"), "reason: {reason}");
+    });
+    assert_eq!(rec.counters("net/server").handshake_rejections, 1);
+}
+
+/// Two sessions in a row on clones of one listener, the way a
+/// long-lived server port is reused: a wake connection left in the
+/// backlog by the first session would show in the second as one
+/// connection too many.
+#[test]
+fn consecutive_sessions_on_one_listener_stay_apart() {
+    let g = dataset_c(40);
+    let listener = bind();
+    for session in 0..2 {
+        let mut serve_opts = ServeOptions::new(N_SITES, params());
+        serve_opts.drain_window = Duration::from_millis(50);
+        let clone = listener.try_clone().expect("clone listener");
+        let rec = RecordingRecorder::new();
+        let (server, ()) = honest_session(&g.data, clone, serve_opts, &rec, |_| ());
+        assert_eq!(server.connections, N_SITES as u64, "session {session}");
+    }
 }

@@ -186,10 +186,10 @@ fn layout(span: &Span, ts: i64, pid: u64, tid: u64, out: &mut Vec<Event>) {
 }
 
 /// Concurrent spans named `name[k]` (the server's per-connection
-/// handshakes) get their own track `2 + k`, mirroring the
-/// thread-per-connection reality and keeping same-track complete
-/// events from partially overlapping, which trace viewers render
-/// badly.
+/// handshakes) get their own track `2 + k`, mirroring that each open
+/// connection runs on its own handler thread and keeping same-track
+/// complete events from partially overlapping, which trace viewers
+/// render badly.
 fn track_for(span: &Span) -> Option<u64> {
     let open = span.name.rfind('[')?;
     let idx: u64 = span.name[open + 1..].strip_suffix(']')?.parse().ok()?;
