@@ -141,21 +141,30 @@ proptest! {
     }
 }
 
-/// A global model whose clusters follow stripes 7 units wide, so cells
-/// well inside a stripe hold one cluster, with one representative in
-/// six reassigned at random and a coincident pair of two clusters, so
-/// some cells mix; plus objects scattered over the area, objects on
-/// representatives' ε_r boundaries, and local labels with noise.
+/// A global model in 1 to 3 dimensions whose clusters follow stripes 7
+/// units wide along the first axis, so cells well inside a stripe hold
+/// one cluster, with one representative in six reassigned at random and
+/// a coincident pair of two clusters, so some cells mix; plus objects
+/// scattered over the area, objects on representatives' ε_r boundaries,
+/// copies of earlier objects with coordinates moved onto the grid's
+/// lattice lines (multiples of the largest ε-range) or one ulp either
+/// side of them, so objects in one cell get different query boxes, and
+/// local labels with noise.
 fn relabel_case(seed: u64) -> (GlobalModel, Dataset, Clustering) {
     let mut rng = StdRng::seed_from_u64(seed);
+    let dim = rng.random_range(1..=3usize);
     let n_clusters = rng.random_range(2..=4u32);
-    let n_reps = rng.random_range(10..=120usize);
+    // Fewer in one dimension, where the area has fewer cells.
+    let n_reps = match dim {
+        1 => rng.random_range(3..=14usize),
+        _ => rng.random_range(10..=120usize),
+    };
     let mut reps: Vec<GlobalRep> = (0..n_reps)
         .map(|_| {
-            let (x, y) = (rng.random_range(0.0..21.0), rng.random_range(0.0..21.0));
-            let stripe = (x / 7.0) as u32 % n_clusters;
+            let point: Vec<f64> = (0..dim).map(|_| rng.random_range(0.0..21.0)).collect();
+            let stripe = (point[0] / 7.0) as u32 % n_clusters;
             GlobalRep {
-                point: Point::xy(x, y),
+                point: Point::from(point),
                 eps_range: rng.random_range(0.3..2.5),
                 site: rng.random_range(0..5u32),
                 local_cluster: rng.random_range(0..4u32),
@@ -172,26 +181,44 @@ fn relabel_case(seed: u64) -> (GlobalModel, Dataset, Clustering) {
         ..reps[0].clone()
     };
     reps.push(twin);
+    let cell = reps.iter().map(|r| r.eps_range).fold(0.0, f64::max);
 
-    let mut data = Dataset::new(2);
+    let mut data = Dataset::new(dim);
     let mut local = Vec::new();
     for _ in 0..rng.random_range(1..=150usize) {
-        if rng.random_range(0..3u32) == 0 {
-            let r = &reps[rng.random_range(0..reps.len())];
-            let (x, y) = (r.point.coords()[0], r.point.coords()[1]);
-            let e = r.eps_range;
-            let on_boundary = match rng.random_range(0..3u32) {
-                0 => [x + e, y],
-                1 => [x, y - e],
-                _ => {
-                    let a: f64 = rng.random_range(0.0..std::f64::consts::TAU);
-                    [x + e * a.cos(), y + e * a.sin()]
+        let object: Vec<f64> = match rng.random_range(0..3u32) {
+            0 => {
+                let r = &reps[rng.random_range(0..reps.len())];
+                let (mut x, e) = (r.point.coords().to_vec(), r.eps_range);
+                match rng.random_range(0..3u32) {
+                    0 => x[0] += e,
+                    1 => x[dim - 1] -= e,
+                    _ => {
+                        let v: Vec<f64> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
+                        let norm = v.iter().map(|c| c * c).sum::<f64>().sqrt().max(1e-9);
+                        for (c, vc) in x.iter_mut().zip(&v) {
+                            *c += e * vc / norm;
+                        }
+                    }
                 }
-            };
-            data.push(&on_boundary);
-        } else {
-            data.push(&[rng.random_range(-3.0..24.0), rng.random_range(-3.0..24.0)]);
-        }
+                x
+            }
+            1 if !data.is_empty() => {
+                // An earlier object with some coordinates moved onto a
+                // lattice line bounding its cell, or one ulp off it.
+                let mut x = data.point(rng.random_range(0..data.len() as u32)).to_vec();
+                let snap = rng.random_range(0..dim);
+                for (d, c) in x.iter_mut().enumerate() {
+                    if d == snap || rng.random_range(0..2u32) == 0 {
+                        let k = (*c / cell).floor() + f64::from(rng.random_range(0..=1u32));
+                        *c = ulps_off(k * cell, rng.random_range(-1..=1));
+                    }
+                }
+                x
+            }
+            _ => (0..dim).map(|_| rng.random_range(-3.0..24.0)).collect(),
+        };
+        data.push(&object);
         // Local cluster 4 has no representative: its fallback is noise.
         local.push(match rng.random_range(0..6u32) {
             5 => Label::Noise,
@@ -199,12 +226,26 @@ fn relabel_case(seed: u64) -> (GlobalModel, Dataset, Clustering) {
         });
     }
     let global = GlobalModel {
-        dim: 2,
+        dim,
         reps,
         n_clusters,
         eps_global: 2.0,
     };
     (global, data, Clustering::from_labels_verbatim(local, 5))
+}
+
+/// `x` moved `ulps` (−1, 0 or 1) units in the last place: to the next
+/// float up for 1, down for −1. (`f64::next_up` needs Rust 1.86.)
+fn ulps_off(x: f64, ulps: i32) -> f64 {
+    if ulps == 0 {
+        x
+    } else if x == 0.0 {
+        f64::from_bits(1) * f64::from(ulps)
+    } else if (ulps > 0) == (x > 0.0) {
+        f64::from_bits(x.to_bits() + 1)
+    } else {
+        f64::from_bits(x.to_bits() - 1)
+    }
 }
 
 /// (single-cluster, mixed) occupied cells of the grid relabeling builds.

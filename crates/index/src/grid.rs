@@ -43,13 +43,20 @@ const STACK_DIM: usize = 16;
 /// only its own lattice coordinates, so it has no use for SipHash's
 /// flooding resistance, and lookups are the odometer walk's inner loop.
 #[derive(Debug, Clone, Copy, Default)]
-struct CellHasher(u64);
+pub struct CellHasher(u64);
 
 impl Hasher for CellHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
+        // Whole words load directly; only a tail (never one for the
+        // grid's `i64` keys) is zero-padded.
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
             let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
+            word[..tail.len()].copy_from_slice(tail);
             self.write_u64(u64::from_le_bytes(word));
         }
     }
@@ -67,8 +74,9 @@ impl Hasher for CellHasher {
     }
 }
 
-/// Cell coordinates to `V`, hashed with [`CellHasher`].
-type CellMap<V> = HashMap<Box<[i64]>, V, BuildHasherDefault<CellHasher>>;
+/// Lattice coordinates to `V`, hashed with [`CellHasher`]: the grid's
+/// cell table, and a table keyed by [`GridIndex::query_box`].
+pub type CellMap<V> = HashMap<Box<[i64]>, V, BuildHasherDefault<CellHasher>>;
 
 /// A uniform grid over a dataset.
 #[derive(Debug, Clone)]
@@ -341,10 +349,36 @@ impl<'a, M: Metric> GridIndex<'a, M> {
         self.for_cells(q, r, |rank| f(self.view(rank)))
     }
 
-    /// Visits the rank of every occupied cell intersecting the L∞ box of
-    /// radius `r` around `q`, in odometer (colexicographic lattice)
-    /// order. Returns the number of occupied cells probed (the
-    /// node-visit count for this index).
+    /// Writes the lattice coordinates of the cell holding `q` into `key`,
+    /// one per axis: the cell a point at `q` is bucketed in.
+    pub fn cell_key(&self, q: &[f64], key: &mut [i64]) {
+        for (k, &c) in key.iter_mut().zip(q) {
+            *k = Self::coord_of(c, self.cell);
+        }
+    }
+
+    /// Writes the lattice box of the L∞ box of radius `r` around `q` into
+    /// `lohi`: its lowest cell coordinates in `lohi[..dim]`, its highest
+    /// in `lohi[dim..]`. Every query of radius `r` walks exactly the
+    /// occupied cells of this box, so two queries with equal boxes visit
+    /// the same cells in the same order, and the box can key a table of
+    /// what [`GridIndex::visit_cells`] found.
+    ///
+    /// # Panics
+    /// Panics unless `lohi` holds two coordinates per dimension.
+    pub fn query_box(&self, q: &[f64], r: f64, lohi: &mut [i64]) {
+        let dim = self.data.dim();
+        assert_eq!(lohi.len(), 2 * dim, "a query box has 2 * dim coordinates");
+        let (lo, hi) = lohi.split_at_mut(dim);
+        for i in 0..dim {
+            lo[i] = Self::coord_of(q[i] - r, self.cell);
+            hi[i] = Self::coord_of(q[i] + r, self.cell);
+        }
+    }
+
+    /// Visits the rank of every occupied cell of [`GridIndex::query_box`],
+    /// in odometer (colexicographic lattice) order. Returns the number of
+    /// occupied cells probed (the node-visit count for this index).
     fn for_cells(&self, q: &[f64], r: f64, mut f: impl FnMut(usize)) -> u64 {
         let dim = self.data.dim();
         let occupied = self.occupied_cells();
@@ -354,20 +388,18 @@ impl<'a, M: Metric> GridIndex<'a, M> {
         let mut stack = [0i64; 3 * STACK_DIM];
         let mut heap;
         let buf: &mut [i64] = if dim <= STACK_DIM {
-            &mut stack
+            &mut stack[..3 * dim]
         } else {
             heap = vec![0i64; 3 * dim];
             &mut heap
         };
-        let (lo, rest) = buf.split_at_mut(dim);
-        let (hi, cur) = rest.split_at_mut(rest.len() / 2);
-        let (hi, cur) = (&mut hi[..dim], &mut cur[..dim]);
+        let (lohi, cur) = buf.split_at_mut(2 * dim);
+        self.query_box(q, r, lohi);
+        let (lo, hi) = lohi.split_at(dim);
+        cur.copy_from_slice(lo);
         // Lattice cells in the box; saturates for unbounded radii.
         let mut lattice = 1u128;
         for i in 0..dim {
-            lo[i] = ((q[i] - r) / self.cell).floor() as i64;
-            hi[i] = ((q[i] + r) / self.cell).floor() as i64;
-            cur[i] = lo[i];
             let side = (hi[i] as i128 - lo[i] as i128 + 1).max(0) as u128;
             lattice = lattice.saturating_mul(side);
         }

@@ -22,7 +22,10 @@
 //! serving thread wakes each handler still in `accept` with one
 //! loopback self-connect. A wake is never counted as a connection,
 //! never handled, and never left in the listener's backlog for the next
-//! session on the same listener.
+//! session on the same listener. It also shuts down the reading half of
+//! every connection a handler still serves, so a silent or trickling
+//! peer cannot hold its handler, and with it `serve`'s return, past the
+//! end of the run.
 //!
 //! # Recovery model
 //!
@@ -39,7 +42,7 @@
 //! session. The server therefore keeps serving replays for a drain
 //! window after all sites have acked, bounded by the overall deadline.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -148,7 +151,11 @@ struct ServerState {
     /// Handlers in (or on their way into) `accept`; the serving thread
     /// starts another whenever this reaches 0.
     idle: usize,
-    /// The first accept error; it ends the run.
+    /// A clone of each connection a handler is serving, by connection
+    /// number, for the serving thread to shut down when the run stops.
+    serving: Vec<(u64, TcpStream)>,
+    /// The first error accepting a connection or cloning it; it ends
+    /// the run.
     accept_error: Option<std::io::Error>,
 }
 
@@ -224,6 +231,7 @@ pub fn serve(
             handshakes: vec![None; n_sites],
             // The first handlers count as idle before they start.
             idle: n_handlers,
+            serving: Vec::new(),
             accept_error: None,
         }),
         ready: Condvar::new(),
@@ -293,7 +301,13 @@ pub fn serve(
     }
     // From here a handler that finishes its connection exits instead of
     // going back to `accept`, and each one already there takes a wake.
+    // A handler still serving a connection stops reading it: the read it
+    // waits in, or its next one, ends at once, however slowly the peer
+    // sends. Writes go on, so a GOODBYE under way still reaches its site.
     shared.stop.store(true, Ordering::Release);
+    for (_, conn) in st.serving.drain(..) {
+        let _ = conn.shutdown(Shutdown::Read);
+    }
     let wakes = st.idle;
     drop(st);
     shared.ready.notify_all();
@@ -302,9 +316,6 @@ pub fn serve(
         // handler blocked, so the run reports the error rather than wait.
         wake(addr)?;
     }
-    // A handler still serving a connection sees `stop` at its next read
-    // timeout; one whose peer trickles a frame in waits for that frame to
-    // end or the peer to close.
     let mut panicked = None;
     for h in handlers {
         if let Err(panic) = h.join() {
@@ -367,8 +378,14 @@ fn run_handler(shared: &Shared, sheet: Option<&Arc<CounterSheet>>, wire: &WireMe
             // unread and uncounted.
             return;
         }
-        let stream = match accepted {
-            Ok(stream) => stream,
+        // Registered under the lock after the `stopped` check, so the
+        // serving thread shuts down every connection served past the stop.
+        let (conn, stream) = match accepted.and_then(|s| Ok((s.try_clone()?, s))) {
+            Ok((clone, stream)) => {
+                let conn = shared.connections.fetch_add(1, Ordering::Relaxed);
+                st.serving.push((conn, clone));
+                (conn, stream)
+            }
             Err(e) => {
                 st.accept_error.get_or_insert(e);
                 shared.ready.notify_all();
@@ -380,9 +397,9 @@ fn run_handler(shared: &Shared, sheet: Option<&Arc<CounterSheet>>, wire: &WireMe
             shared.ready.notify_all();
         }
         drop(st);
-        shared.connections.fetch_add(1, Ordering::Relaxed);
         let _ = handle_connection(stream, shared, sheet, wire);
         let mut st = shared.lock();
+        st.serving.retain(|&(c, _)| c != conn);
         st.last_activity = Instant::now();
         if shared.stopped() {
             return;

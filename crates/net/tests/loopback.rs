@@ -5,6 +5,8 @@
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use dbdc::{run_dbdc, DbdcOutcome, DbdcParams, EpsGlobal, Partitioner};
@@ -557,6 +559,56 @@ fn trickling_peer_before_the_sites_cannot_stall_the_fleet() {
     });
     trickle.join().expect("trickling peer panicked");
     assert_eq!(server.connections, N_SITES as u64 + 1);
+}
+
+/// Stopping the run shuts down every connection a handler still serves,
+/// so with reads that wait 6 s `serve` still returns soon after the last
+/// site, beside a silent peer and beside a peer that trickles a frame in
+/// for 10 s: the handler neither waits out the read timeout nor waits
+/// for the frame to end.
+#[test]
+fn stopping_the_fleet_closes_silent_and_trickling_connections() {
+    let g = dataset_c(42);
+    let mut serve_opts = hostile_serve_opts();
+    serve_opts.read_timeout = Duration::from_secs(6);
+    // From the last site's ack to `serve`'s return.
+    let after_last_ack = |s: &ServerOutcome| {
+        s.serve_wall
+            .saturating_sub(s.upload_wall + s.global_wall + s.broadcast_wall)
+    };
+
+    let rec = RecordingRecorder::new();
+    let (server, _silent) = honest_session(&g.data, bind(), serve_opts.clone(), &rec, |addr| {
+        // Connected first, so a handler takes it before any site.
+        TcpStream::connect(addr).expect("silent peer connects")
+    });
+    assert_eq!(server.connections, N_SITES as u64 + 1);
+    let tail = after_last_ack(&server);
+    assert!(tail < Duration::from_secs(1), "silent peer: {tail:?}");
+
+    let done = Arc::new(AtomicBool::new(false));
+    let rec = RecordingRecorder::new();
+    let (server, trickle) = honest_session(&g.data, bind(), serve_opts, &rec, |addr| {
+        // Connected first, so a handler takes it before any site.
+        let mut s = TcpStream::connect(addr).expect("trickling peer connects");
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            // A length prefix for 1000 body bytes, then 100 of them
+            // 100 ms apart, until the test is done with the peer.
+            s.write_all(&1000u32.to_le_bytes()).expect("write prefix");
+            for _ in 0..100 {
+                std::thread::sleep(Duration::from_millis(100));
+                if done.load(Ordering::Relaxed) || s.write_all(&[0]).is_err() {
+                    break;
+                }
+            }
+        })
+    });
+    done.store(true, Ordering::Relaxed);
+    trickle.join().expect("trickling peer panicked");
+    assert_eq!(server.connections, N_SITES as u64 + 1);
+    let tail = after_last_ack(&server);
+    assert!(tail < Duration::from_secs(1), "trickling peer: {tail:?}");
 }
 
 #[test]
