@@ -5,11 +5,5 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    match dbdc_cli::netcmd::cmd_serve(&raw) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    dbdc_cli::run_form(&dbdc_cli::flags::SERVE, &raw, dbdc_cli::netcmd::cmd_serve)
 }

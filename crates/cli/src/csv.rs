@@ -99,6 +99,7 @@ pub fn write_dataset(
 mod tests {
     use super::*;
     use dbdc_geom::Label;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trip() {
@@ -155,5 +156,68 @@ mod tests {
         let input = "1.0,2.0\n\n3.0,4.0\n\n";
         let d = read_dataset(input.as_bytes()).unwrap();
         assert_eq!(d.len(), 2);
+    }
+
+    /// CSV-like bytes: rows of `width` cells, each a finite number or,
+    /// more often the higher `noise`, a raw byte, a stray separator, or
+    /// a non-finite or malformed field.
+    fn csv_bytes() -> impl Strategy<Value = Vec<u8>> {
+        const GOOD: &[&str] = &["1", "-2.5", "3e2", "0", ".5", "-0", " 7 "];
+        const BAD: &[&str] = &["inf", "NaN", "1e999", "", "x", "\r", "\n", ",", "--1"];
+        let cell = (0usize..64, any::<u8>());
+        let shape = (1usize..4, 0usize..4);
+        (shape, prop::collection::vec(cell, 0..30)).prop_map(|((width, noise), cells)| {
+            let mut out = Vec::new();
+            for (i, (roll, byte)) in cells.into_iter().enumerate() {
+                match roll % 16 {
+                    r if r >= noise => out.extend_from_slice(GOOD[roll % GOOD.len()].as_bytes()),
+                    0 => out.push(byte),
+                    _ => out.extend_from_slice(BAD[roll % BAD.len()].as_bytes()),
+                }
+                out.push(if (i + 1) % width == 0 { b'\n' } else { b',' });
+            }
+            out
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn read_never_panics_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let _ = read_dataset(&bytes[..]);
+        }
+
+        #[test]
+        fn accepted_csv_is_a_finite_rectangle(bytes in csv_bytes()) {
+            if let Ok(d) = read_dataset(&bytes[..]) {
+                prop_assert!(!d.is_empty());
+                prop_assert_eq!(d.as_flat().len(), d.len() * d.dim());
+                prop_assert!(d.as_flat().iter().all(|c| c.is_finite()), "{:?}", d);
+            }
+        }
+
+        #[test]
+        fn write_then_read_is_bit_identical(
+            dim in 1usize..5,
+            bits in prop::collection::vec(any::<u64>(), 1..40),
+        ) {
+            // Any finite f64 at all: subnormals, -0.0, extreme exponents.
+            let mut coords: Vec<f64> = bits
+                .iter()
+                .map(|&b| f64::from_bits(b))
+                .map(|c| if c.is_finite() { c } else { -0.0 })
+                .collect();
+            coords.resize(coords.len().div_ceil(dim) * dim, 1.5);
+            let d = Dataset::from_flat(dim, coords);
+            let mut buf = Vec::new();
+            write_dataset(&mut buf, &d, None).unwrap();
+            let back = read_dataset(&buf[..]).unwrap();
+            prop_assert_eq!(back.dim(), dim);
+            let pattern = |d: &Dataset| d.as_flat().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(pattern(&back), pattern(&d), "{:?} read back as {:?}", d, back);
+        }
     }
 }

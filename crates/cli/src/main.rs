@@ -11,199 +11,110 @@
 use dbdc::observe::cluster_stats;
 use dbdc::{
     central_dbscan_recorded, dbdc_run_report, q_dbdc, run_dbdc_recorded,
-    run_dbdc_threaded_recorded, EpsGlobal, ObjectQuality, Partitioner,
+    run_dbdc_threaded_recorded, DbdcParams, EpsGlobal, ObjectQuality,
 };
-use dbdc_cli::args::Args;
+use dbdc_cli::args::{Args, Form};
+use dbdc_cli::flags;
 use dbdc_cli::opts::{
-    build_params, eps_global_choice, finish_report, local_params, no_positionals, parse_link,
-    parse_partitioner, quality_stats, read_input, require_sites, wants_report, CliResult,
+    build_params, dataset_info, eps_global_choice, finish_report, local_params, parse_link,
+    parse_partitioner, quality_stats, read_input, read_protocol_input, require_sites, wants_report,
+    CliResult, Command,
 };
-use dbdc_cli::{csv, netcmd};
+use dbdc_cli::{csv, netcmd, overview, run_form};
 use dbdc_geom::Dataset;
-use dbdc_obs::{fmt_ms, DatasetInfo, NoopRecorder, Recorder, RecordingRecorder, RunReport, Span};
+use dbdc_obs::{fmt_ms, NoopRecorder, Recorder, RecordingRecorder, RunReport, Span};
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::ExitCode;
 use std::time::Instant;
 
+/// Each command form, in `--help` order, with the function that runs it.
+static COMMANDS: [(&Form, Command); 16] = [
+    (&flags::GENERATE, cmd_generate),
+    (&flags::CENTRAL, cmd_central),
+    (&flags::RUN, cmd_run),
+    (&flags::COMPARE, cmd_compare),
+    (&flags::TUNE, cmd_tune),
+    (&flags::PLOT, cmd_plot),
+    (&flags::SUGGEST, cmd_suggest),
+    (&flags::STREAM, cmd_stream),
+    (&flags::SERVE, netcmd::cmd_serve),
+    (&flags::SITE, netcmd::cmd_site),
+    (&flags::PROXY, netcmd::cmd_proxy),
+    (&flags::WATCH, netcmd::cmd_watch),
+    (&flags::REPORT, cmd_report),
+    (&flags::REPORT_DIFF, cmd_report_diff),
+    (&flags::REPORT_MERGE, cmd_report_merge),
+    (&flags::REPORT_TIMELINE, cmd_report_timeline),
+];
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = raw.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(rest),
-        "central" => cmd_central(rest),
-        "run" => cmd_run(rest),
-        "compare" => cmd_compare(rest),
-        "tune" => cmd_tune(rest),
-        "plot" => cmd_plot(rest),
-        "suggest" => cmd_suggest(rest),
-        "stream" => cmd_stream(rest),
-        "serve" => netcmd::cmd_serve(rest),
-        "site" => netcmd::cmd_site(rest),
-        "proxy" => netcmd::cmd_proxy(rest),
-        "watch" => netcmd::cmd_watch(rest),
-        "report" => cmd_report(rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
+    // The form whose command words open the line, the longest one
+    // winning: `report diff A B` is `report diff`, not `report`.
+    let words = |form: &Form| form.command.split(' ').count();
+    let opens = |form: &Form| form.command.split(' ').eq(raw.iter().take(words(form)));
+    let Some((form, run)) = COMMANDS
+        .iter()
+        .filter(|(form, _)| opens(form))
+        .max_by_key(|(form, _)| words(form))
+    else {
+        let overview = overview(COMMANDS.iter().map(|(form, _)| *form));
+        let first = raw.first().map(String::as_str);
+        if let Some("--help" | "-h" | "help") = first {
+            print!("{overview}");
+            return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}").into()),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+        if let Some(other) = first {
+            eprintln!("error: unknown command {other:?}");
         }
-    }
+        eprint!("{overview}");
+        return ExitCode::from(if first.is_none() { 2 } else { 1 });
+    };
+    run_form(form, &raw[words(form)..], *run)
 }
 
-const USAGE: &str = "\
-dbdc-cli — Density Based Distributed Clustering (EDBT 2004)
-
-commands:
-  generate --set a|b|c --seed N [--n N] [--out FILE] [--truth]
-      write a synthetic test data set as CSV (x,y; --truth appends labels)
-  central --input FILE --eps E --min-pts M [--index KIND] [--threads T]
-      [--out FILE]
-      central DBSCAN over a CSV point file
-  run --input FILE --eps E --min-pts M --sites K [--model scor|kmeans]
-      [--eps-global MULT|max] [--partitioner random|roundrobin|stripes]
-      [--seed N] [--threaded] [--threads T] [--partitions P]
-      [--precision f64|f32] [--out FILE]
-      the DBDC protocol over K simulated sites
-  compare --input FILE --eps E --min-pts M --sites K [--model scor|kmeans]
-      [--eps-global MULT|max] [--seed N] [--threads T] [--partitions P]
-      [--precision f64|f32]
-      run both and report the paper's quality measures
-  tune --input FILE --eps E --min-pts M --sites K [--model scor|kmeans]
-      [--candidates LIST] [--partitioner ...] [--seed N] [--threads T]
-      sweep Eps_global candidates (multipliers or \"max\", default
-      1.0,1.5,2.0,2.5,3.0,4.0,max), score each distributed run by its
-      ground-truth-free DBCV, print the sweep table, select the argmax
-  plot --input FILE --out FILE.svg [--eps E --min-pts M] [--title T]
-      render a CSV point file as an SVG scatter plot, clustered with
-      DBSCAN when --eps/--min-pts are given
-  suggest --input FILE [--k K]
-      suggest an Eps via the sorted k-distance knee (k defaults to 4)
-  stream --input FILE --eps E --min-pts M --sites K [--batch N]
-      [--drift D] [--seed S]
-      replay the file as a stream into incremental client sessions and an
-      incremental server; report transmissions saved by drift gating
-  serve ... / site ...
-      the DBDC protocol over real TCP — also built as the standalone
-      dbdc-server and dbdc-site binaries; run `dbdc-cli serve --help`
-      or `dbdc-cli site --help` for their flags; both take --run-id ID
-      so their reports can be merged
-  proxy ...
-      a fault-injecting TCP forwarder between sites and server; run
-      `dbdc-cli proxy --help` for its flags
-  watch ADDR [ADDR...] [--interval MS] [--once]
-      poll the fleet's --admin-addr /metrics endpoints and render a live
-      table of frame/byte rates, retries, per-phase percentiles, and
-      session state; run `dbdc-cli watch --help` for details
-  report --input FILE [--require NAME,NAME,...]
-      [--require-counter NAME,NAME,...] [--require-quality SCOPE,...]
-      [--hist]
-      render a --metrics-out JSON report; fail unless every --require'd
-      name is present as a phase span or histogram scope, every
-      --require-counter'd counter is nonzero in some scope, and every
-      --require-quality'd scope (global, or a per-site name like
-      site[0]) carries a finite DBCV; --hist prints only the histogram
-      table
-  report diff OLD NEW [--threshold FRACTION]
-      [--quality-threshold DROP] [--only SUBSTR]
-      compare two reports cell-by-cell (per-histogram p50/p99, plus
-      quality/* cells) and exit nonzero on regression; histogram
-      tolerance is max(FRACTION, baseline cell spread), FRACTION
-      defaulting to 0.25; quality cells gate directionally — rises
-      pass, drops beyond the absolute DROP (default 0.10) fail, and
-      --threshold never loosens them; --only gates just the cells
-      whose name contains SUBSTR
-  report merge SERVER [SITE...] --out FILE
-      join one server report with its site reports (matched by
-      --run-id) into a single fleet report: counters summed, histograms
-      bucket-merged, spans grafted under per-site subtrees; a lone
-      server report merges into a degenerate fleet report (with a
-      warning), which is what a killed fleet leaves behind
-  report timeline REPORT --out trace.json
-      render a (merged) report's span forest as Chrome trace_event
-      JSON — one pid per process, clocks aligned via the handshake
-      spans; open in chrome://tracing or ui.perfetto.dev
-
-KIND: linear|grid|kdtree|rstar (default rstar)
-T: DBSCAN worker threads; 1 = sequential (default), 0 = all cores.
-   The clustering is identical for every value.
-P: spatial partitions per site's local phase; 1 = one index over the
-   whole shard (default), 0 = one partition per worker thread. Each
-   partition is an ε-halo'd stripe along the shard's widest-spread axis
-   with its own private index; labels are identical for every value.
---precision f32 stores index coordinates as f32 (half the scan
-   bandwidth); approximate near the ε boundary, so `run` also executes
-   the f64 oracle and reports label agreement plus the DBCV delta.
-
-observability (every command):
-  --trace              print the phase-span tree and counter scopes
-  --metrics-out FILE   write the full RunReport as JSON
-  --run-id ID          shared run identity stamped into the report
-                       (run/compare/serve/site/proxy); `report merge`
-                       matches fleet reports on it
-  --link lan|wan|slow_uplink|BW:LAT_MS
-                       link for the modeled upload/broadcast spans in
-                       run/compare reports (default wan); custom links are
-                       BYTES_PER_SEC:LATENCY_MS, e.g. 125000:250";
-
-/// A minimal report for commands without a distributed run: one span,
-/// the input dataset, and whatever scopes the recorder collected.
+/// A report for commands without a distributed run: its spans, the
+/// input dataset, and whatever scopes the recorder collected.
 fn simple_report(
     command: &str,
-    dataset: Option<DatasetInfo>,
-    span: Span,
+    data: &Dataset,
+    spans: Vec<Span>,
     rec: &RecordingRecorder,
 ) -> RunReport {
     let mut report = RunReport::new(command);
-    report.dataset = dataset;
-    report.spans = vec![span];
+    report.dataset = Some(dataset_info(data));
+    report.spans = spans;
     report.scopes = rec.scopes();
     report.hists = rec.hist_scopes();
     report
 }
 
-fn write_output(
-    args: &Args,
-    data: &Dataset,
-    labels: &dbdc_geom::Clustering,
-) -> Result<(), Box<dyn std::error::Error>> {
+/// Writes `data`, with a label column when given one, to `--out`.
+fn write_output(args: &Args, data: &Dataset, labels: Option<&dbdc_geom::Clustering>) -> CliResult {
     if let Some(path) = args.get("out") {
         let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-        csv::write_dataset(BufWriter::new(file), data, Some(labels))?;
+        csv::write_dataset(BufWriter::new(file), data, labels)?;
         println!("wrote {path}");
     }
     Ok(())
 }
 
-fn cmd_generate(raw: &[String]) -> CliResult {
-    let args = Args::parse(
-        raw,
-        &["set", "seed", "n", "out", "truth", "trace", "metrics-out"],
-    )?;
-    no_positionals(&args)?;
+fn cmd_generate(args: &Args) -> CliResult {
     let seed: u64 = args.get_or("seed", 42)?;
+    let set = args.require("set")?;
+    let n: Option<usize> = args.get_as("n")?;
     let t0 = Instant::now();
-    let g = match args.require("set")? {
-        "a" | "A" => match args.get("n") {
-            Some(_) => dbdc_datagen::scaled_a(args.require_as("n")?, seed),
-            None => dbdc_datagen::dataset_a(seed),
-        },
-        "b" | "B" => dbdc_datagen::dataset_b(seed),
-        "c" | "C" => dbdc_datagen::dataset_c(seed),
-        other => return Err(format!("--set expects a|b|c, got {other:?}").into()),
+    let g = match (set, n) {
+        ("a" | "A", Some(n)) => dbdc_datagen::scaled_a(n, seed),
+        ("a" | "A", None) => dbdc_datagen::dataset_a(seed),
+        ("b" | "B", None) => dbdc_datagen::dataset_b(seed),
+        ("c" | "C", None) => dbdc_datagen::dataset_c(seed),
+        ("b" | "B" | "c" | "C", Some(_)) => return Err("--n sizes data set a only".into()),
+        (other, _) => return Err(format!("--set expects a|b|c, got {other:?}").into()),
     };
     let gen_time = t0.elapsed();
-    println!(
+    let status = format!(
         "generated {} points, {} true clusters (suggested: --eps {} --min-pts {})",
         g.data.len(),
         g.truth.n_clusters(),
@@ -213,51 +124,34 @@ fn cmd_generate(raw: &[String]) -> CliResult {
     // Truth labels are written only on request: the default output must be
     // directly consumable by `central`/`run`/`compare`.
     let truth = args.switch("truth").then_some(&g.truth);
-    match args.get("out") {
-        Some(path) => {
-            let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            csv::write_dataset(BufWriter::new(file), &g.data, truth)?;
-            println!("wrote {path}");
-        }
-        None => csv::write_dataset(std::io::stdout().lock(), &g.data, truth)?,
+    if args.get("out").is_some() {
+        println!("{status}");
+        write_output(args, &g.data, truth)?;
+    } else {
+        // With the CSV on stdout, the status line must not become its first row.
+        eprintln!("{status}");
+        csv::write_dataset(std::io::stdout().lock(), &g.data, truth)?;
     }
-    if wants_report(&args) {
+    if wants_report(args) {
         let report = simple_report(
             "generate",
-            Some(DatasetInfo {
-                points: g.data.len(),
-                dim: g.data.dim(),
-            }),
-            Span::new("generate", gen_time),
+            &g.data,
+            vec![Span::new("generate", gen_time)],
             &RecordingRecorder::new(),
         )
-        .with_param("set", args.require("set")?)
+        .with_param("set", set)
         .with_param("seed", seed);
-        finish_report(&args, &report)?;
+        finish_report(args, &report)?;
     }
     Ok(())
 }
 
-fn cmd_central(raw: &[String]) -> CliResult {
-    let args = Args::parse(
-        raw,
-        &[
-            "input",
-            "eps",
-            "min-pts",
-            "index",
-            "threads",
-            "out",
-            "trace",
-            "metrics-out",
-        ],
-    )?;
-    no_positionals(&args)?;
-    let data = read_input(&args)?;
-    let params = local_params(&args)?
+fn cmd_central(args: &Args) -> CliResult {
+    let data = read_input(args)?;
+    let params = local_params(args)?
         .with_index(args.get_or("index", dbdc_index::IndexKind::RStar)?)
         .with_threads(args.get_or("threads", 1)?);
-    let wants = wants_report(&args);
+    let wants = wants_report(args);
     let rec = RecordingRecorder::new();
     let recorder: &dyn Recorder = if wants { &rec } else { &NoopRecorder };
     let (result, elapsed) = central_dbscan_recorded(&data, &params, recorder);
@@ -269,66 +163,38 @@ fn cmd_central(raw: &[String]) -> CliResult {
         fmt_ms(elapsed)
     );
     if wants {
-        let mut report = RunReport::new("central")
+        let mut report = simple_report("central", &data, rec.spans(), &rec)
             .with_param("eps_local", params.eps_local)
             .with_param("min_pts_local", params.min_pts_local)
             .with_param("index", params.index.name())
             .with_param("threads", params.threads);
-        report.dataset = Some(DatasetInfo {
-            points: data.len(),
-            dim: data.dim(),
-        });
-        report.spans = rec.spans();
-        report.scopes = rec.scopes();
-        report.hists = rec.hist_scopes();
         report.clusters = Some(cluster_stats(
             result.clustering.n_clusters() as usize,
             result.clustering.labels(),
         ));
-        finish_report(&args, &report)?;
+        finish_report(args, &report)?;
     }
-    write_output(&args, &data, &result.clustering)
+    write_output(args, &data, Some(&result.clustering))
 }
 
-fn cmd_run(raw: &[String]) -> CliResult {
-    let args = Args::parse(
-        raw,
-        &[
-            "input",
-            "eps",
-            "min-pts",
-            "sites",
-            "model",
-            "eps-global",
-            "partitioner",
-            "seed",
-            "threaded",
-            "threads",
-            "partitions",
-            "precision",
-            "index",
-            "out",
-            "trace",
-            "metrics-out",
-            "link",
-            "run-id",
-        ],
-    )?;
-    no_positionals(&args)?;
-    let data = read_input(&args)?;
-    let params = build_params(&args)?;
-    let sites = require_sites(&args)?;
-    let seed: u64 = args.get_or("seed", 42)?;
-    let part = parse_partitioner(&args, seed)?;
-    let link = parse_link(&args)?;
-    let wants = wants_report(&args);
+fn cmd_run(args: &Args) -> CliResult {
+    let data = read_protocol_input(args)?;
+    let params = build_params(args)?;
+    let sites = require_sites(args)?;
+    let part = parse_partitioner(args)?;
+    let link = parse_link(args)?;
+    let wants = wants_report(args);
     let rec = RecordingRecorder::new();
     let recorder: &dyn Recorder = if wants { &rec } else { &NoopRecorder };
-    let outcome = if args.switch("threaded") {
-        run_dbdc_threaded_recorded(&data, &params, part, sites, recorder)
-    } else {
-        run_dbdc_recorded(&data, &params, part, sites, recorder)
+    let threaded = args.switch("threaded");
+    let run = |params: &DbdcParams, rec: &dyn Recorder| {
+        if threaded {
+            run_dbdc_threaded_recorded(&data, params, part, sites, rec)
+        } else {
+            run_dbdc_recorded(&data, params, part, sites, rec)
+        }
     };
+    let outcome = run(&params, recorder);
     println!(
         "DBDC({}) over {sites} sites: {} clusters, {} noise",
         params.model.name(),
@@ -356,12 +222,10 @@ fn cmd_run(raw: &[String]) -> CliResult {
     // judged against the bit-exact f64 oracle: the same data, partitioner,
     // and parameters, with only the scan precision flipped back.
     let oracle = (params.precision == dbdc_index::Precision::F32).then(|| {
-        let oracle_params = params.with_precision(dbdc_index::Precision::F64);
-        if args.switch("threaded") {
-            run_dbdc_threaded_recorded(&data, &oracle_params, part, sites, &NoopRecorder)
-        } else {
-            run_dbdc_recorded(&data, &oracle_params, part, sites, &NoopRecorder)
-        }
+        run(
+            &params.with_precision(dbdc_index::Precision::F64),
+            &NoopRecorder,
+        )
     });
     let agreement = oracle
         .as_ref()
@@ -402,9 +266,9 @@ fn cmd_run(raw: &[String]) -> CliResult {
                 .push(("f32_dbcv_delta".into(), format!("{delta:+.6}")));
         }
         report.quality = Some(quality);
-        finish_report(&args, &report)?;
+        finish_report(args, &report)?;
     }
-    write_output(&args, &data, &outcome.assignment)
+    write_output(args, &data, Some(&outcome.assignment))
 }
 
 /// Fraction of points on which two clusterings agree, under the greedy
@@ -440,44 +304,17 @@ fn label_agreement(a: &dbdc_geom::Clustering, b: &dbdc_geom::Clustering) -> f64 
     same as f64 / a.labels().len() as f64
 }
 
-fn cmd_compare(raw: &[String]) -> CliResult {
-    let args = Args::parse(
-        raw,
-        &[
-            "input",
-            "eps",
-            "min-pts",
-            "sites",
-            "model",
-            "eps-global",
-            "seed",
-            "threads",
-            "partitions",
-            "precision",
-            "index",
-            "trace",
-            "metrics-out",
-            "link",
-            "run-id",
-        ],
-    )?;
-    no_positionals(&args)?;
-    let data = read_input(&args)?;
-    let params = build_params(&args)?;
-    let sites = require_sites(&args)?;
-    let seed: u64 = args.get_or("seed", 42)?;
-    let link = parse_link(&args)?;
-    let wants = wants_report(&args);
+fn cmd_compare(args: &Args) -> CliResult {
+    let data = read_protocol_input(args)?;
+    let params = build_params(args)?;
+    let sites = require_sites(args)?;
+    let part = parse_partitioner(args)?;
+    let link = parse_link(args)?;
+    let wants = wants_report(args);
     let rec = RecordingRecorder::new();
     let recorder: &dyn Recorder = if wants { &rec } else { &NoopRecorder };
     let (central, central_time) = central_dbscan_recorded(&data, &params, recorder);
-    let outcome = run_dbdc_recorded(
-        &data,
-        &params,
-        Partitioner::RandomEqual { seed },
-        sites,
-        recorder,
-    );
+    let outcome = run_dbdc_recorded(&data, &params, part, sites, recorder);
     let p1 = q_dbdc(
         &outcome.assignment,
         &central.clustering,
@@ -535,7 +372,7 @@ fn cmd_compare(raw: &[String]) -> CliResult {
         report.params.push(("p_i".into(), format!("{:.4}", p1.q)));
         report.params.push(("p_ii".into(), format!("{:.4}", p2.q)));
         report.quality = Some(quality);
-        finish_report(&args, &report)?;
+        finish_report(args, &report)?;
     }
     Ok(())
 }
@@ -545,31 +382,11 @@ fn cmd_compare(raw: &[String]) -> CliResult {
 /// setting, plus the paper-motivated extreme (`max`).
 const TUNE_CANDIDATES: &str = "1.0,1.5,2.0,2.5,3.0,4.0,max";
 
-fn cmd_tune(raw: &[String]) -> CliResult {
-    let args = Args::parse(
-        raw,
-        &[
-            "input",
-            "eps",
-            "min-pts",
-            "sites",
-            "model",
-            "candidates",
-            "partitioner",
-            "seed",
-            "threads",
-            "index",
-            "trace",
-            "metrics-out",
-            "run-id",
-        ],
-    )?;
-    no_positionals(&args)?;
-    let data = read_input(&args)?;
-    let base = build_params(&args)?;
-    let sites = require_sites(&args)?;
-    let seed: u64 = args.get_or("seed", 42)?;
-    let part = parse_partitioner(&args, seed)?;
+fn cmd_tune(args: &Args) -> CliResult {
+    let data = read_protocol_input(args)?;
+    let base = build_params(args)?;
+    let sites = require_sites(args)?;
+    let part = parse_partitioner(args)?;
     let spec = args.get("candidates").unwrap_or(TUNE_CANDIDATES);
     let mut candidates: Vec<(String, EpsGlobal)> = Vec::new();
     for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
@@ -579,7 +396,7 @@ fn cmd_tune(raw: &[String]) -> CliResult {
         return Err("--candidates is empty".into());
     }
 
-    let wants = wants_report(&args);
+    let wants = wants_report(args);
     let rec = RecordingRecorder::new();
     let recorder: &dyn Recorder = if wants { &rec } else { &NoopRecorder };
     let t0 = Instant::now();
@@ -632,58 +449,37 @@ fn cmd_tune(raw: &[String]) -> CliResult {
         for s in spans {
             root.push(s);
         }
-        let mut report = RunReport::new("tune")
+        let mut report = simple_report("tune", &data, vec![root], &rec)
             .with_identity("tune", args.get("run-id").map(String::from), "tune")
             .with_param("eps_local", base.eps_local)
             .with_param("min_pts_local", base.min_pts_local)
             .with_param("sites", sites)
             .with_param("candidates", spec)
             .with_param("selected_eps_global", best_name.as_str());
-        report.dataset = Some(DatasetInfo {
-            points: data.len(),
-            dim: data.dim(),
-        });
         for (name, q) in &rows {
             report
                 .params
                 .push((format!("dbcv[{name}]"), format!("{:.6}", q.dbcv)));
         }
-        report.spans = vec![root];
-        report.scopes = rec.scopes();
-        report.hists = rec.hist_scopes();
         report.quality = Some(best_quality.clone());
-        finish_report(&args, &report)?;
+        finish_report(args, &report)?;
     }
     Ok(())
 }
 
-fn cmd_plot(raw: &[String]) -> CliResult {
-    let args = Args::parse(
-        raw,
-        &[
-            "input",
-            "out",
-            "eps",
-            "min-pts",
-            "title",
-            "index",
-            "trace",
-            "metrics-out",
-        ],
-    )?;
-    no_positionals(&args)?;
-    let data = read_input(&args)?;
+fn cmd_plot(args: &Args) -> CliResult {
+    let data = read_input(args)?;
     if data.dim() != 2 {
         return Err("plot requires 2-d data".into());
     }
-    let wants = wants_report(&args);
+    let wants = wants_report(args);
     let rec = RecordingRecorder::new();
     let recorder: &dyn Recorder = if wants { &rec } else { &NoopRecorder };
     let t0 = Instant::now();
     let clustering = match (args.get("eps"), args.get("min-pts")) {
         (Some(_), Some(_)) => {
-            let params = local_params(&args)?
-                .with_index(args.get_or("index", dbdc_index::IndexKind::RStar)?);
+            let params =
+                local_params(args)?.with_index(args.get_or("index", dbdc_index::IndexKind::RStar)?);
             let (result, _) = central_dbscan_recorded(&data, &params, recorder);
             println!(
                 "clustered: {} clusters, {} noise",
@@ -691,6 +487,9 @@ fn cmd_plot(raw: &[String]) -> CliResult {
                 result.clustering.n_noise()
             );
             Some(result.clustering)
+        }
+        (None, None) if args.get("index").is_some() => {
+            return Err("--index applies only with --eps and --min-pts".into())
         }
         (None, None) => None,
         _ => return Err("--eps and --min-pts must be given together".into()),
@@ -708,32 +507,25 @@ fn cmd_plot(raw: &[String]) -> CliResult {
     std::fs::write(path, svg).map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("wrote {path}");
     if wants {
-        let mut report = simple_report(
-            "plot",
-            Some(DatasetInfo {
-                points: data.len(),
-                dim: data.dim(),
-            }),
-            Span::new("plot", t0.elapsed()),
-            &rec,
-        );
+        let mut report = simple_report("plot", &data, vec![Span::new("plot", t0.elapsed())], &rec);
         // The central span (if any) arrives from the recorder.
         report.spans.extend(rec.spans());
         if let Some(c) = &clustering {
             report.clusters = Some(cluster_stats(c.n_clusters() as usize, c.labels()));
         }
-        finish_report(&args, &report)?;
+        finish_report(args, &report)?;
     }
     Ok(())
 }
 
-fn cmd_suggest(raw: &[String]) -> CliResult {
-    let args = Args::parse(raw, &["input", "k", "index", "trace", "metrics-out"])?;
-    no_positionals(&args)?;
-    let data = read_input(&args)?;
+fn cmd_suggest(args: &Args) -> CliResult {
+    let data = read_input(args)?;
     let k: usize = args.get_or("k", 4)?;
+    if k == 0 {
+        return Err("--k expects at least 1, got 0".into());
+    }
     let kind: dbdc_index::IndexKind = args.get_or("index", dbdc_index::IndexKind::RStar)?;
-    let wants = wants_report(&args);
+    let wants = wants_report(args);
     let rec = RecordingRecorder::new();
     let sheet = if wants { rec.sheet("suggest") } else { None };
     let t0 = Instant::now();
@@ -763,42 +555,22 @@ fn cmd_suggest(raw: &[String]) -> CliResult {
         k + 1
     );
     if wants {
-        let report = simple_report(
-            "suggest",
-            Some(DatasetInfo {
-                points: data.len(),
-                dim: data.dim(),
-            }),
-            Span::new("suggest", kd_time),
-            &rec,
-        )
-        .with_param("k", k)
-        .with_param("index", kind.name());
-        finish_report(&args, &report)?;
+        let report = simple_report("suggest", &data, vec![Span::new("suggest", kd_time)], &rec)
+            .with_param("k", k)
+            .with_param("index", kind.name());
+        finish_report(args, &report)?;
     }
     Ok(())
 }
 
-fn cmd_stream(raw: &[String]) -> CliResult {
-    let args = Args::parse(
-        raw,
-        &[
-            "input",
-            "eps",
-            "min-pts",
-            "sites",
-            "batch",
-            "drift",
-            "seed",
-            "trace",
-            "metrics-out",
-        ],
-    )?;
-    no_positionals(&args)?;
-    let data = read_input(&args)?;
-    let params = local_params(&args)?.with_eps_global(EpsGlobal::MultipleOfLocal(2.0));
-    let sites = require_sites(&args)?;
+fn cmd_stream(args: &Args) -> CliResult {
+    let data = read_input(args)?;
+    let params = local_params(args)?.with_eps_global(EpsGlobal::MultipleOfLocal(2.0));
+    let sites = require_sites(args)?;
     let batch: usize = args.get_or("batch", 200)?;
+    if batch == 0 {
+        return Err("--batch expects at least 1, got 0".into());
+    }
     let drift_threshold: f64 = args.get_or("drift", 0.1)?;
     let t0 = Instant::now();
     let mut clients: Vec<dbdc::ClientSession> = (0..sites)
@@ -832,21 +604,18 @@ fn cmd_stream(raw: &[String]) -> CliResult {
         "drift gating sent {transmissions} of {possible} possible models ({:.0}% saved)",
         100.0 * (1.0 - transmissions as f64 / possible.max(1) as f64)
     );
-    if wants_report(&args) {
+    if wants_report(args) {
         let report = simple_report(
             "stream",
-            Some(DatasetInfo {
-                points: data.len(),
-                dim: data.dim(),
-            }),
-            Span::new("stream", t0.elapsed()),
+            &data,
+            vec![Span::new("stream", t0.elapsed())],
             &RecordingRecorder::new(),
         )
         .with_param("sites", sites)
         .with_param("batch", batch)
         .with_param("transmissions", transmissions)
         .with_param("possible_transmissions", possible);
-        finish_report(&args, &report)?;
+        finish_report(args, &report)?;
     }
     Ok(())
 }
@@ -856,101 +625,61 @@ fn load_report(path: &str) -> Result<RunReport, Box<dyn std::error::Error>> {
     RunReport::parse(&text).map_err(|e| format!("{path}: {e}").into())
 }
 
-fn cmd_report(raw: &[String]) -> CliResult {
-    let args = Args::parse(
-        raw,
-        &[
-            "input",
-            "require",
-            "require-counter",
-            "require-quality",
-            "hist",
-            "threshold",
-            "quality-threshold",
-            "only",
-            "out",
-        ],
-    )?;
-    // `report diff OLD NEW`, `report merge SERVER SITE...`, and
-    // `report timeline REPORT` are positional sub-forms; everything
-    // else is the single-report validator/renderer.
-    match args.positional().first().map(String::as_str) {
-        Some("diff") => return cmd_report_diff(&args),
-        Some("merge") => return cmd_report_merge(&args),
-        Some("timeline") => return cmd_report_timeline(&args),
-        _ => {}
-    }
-    no_positionals(&args)?;
+fn cmd_report(args: &Args) -> CliResult {
     let path = args.require("input")?;
     let report = load_report(path)?;
-    if let Some(required) = args.get("require") {
-        // A required name may be satisfied by a phase span *or* a
-        // histogram scope: latency distributions like `net/session_ns`
-        // have no span of their own.
-        let missing: Vec<&str> = required
-            .split(',')
-            .map(str::trim)
-            .filter(|name| {
-                !name.is_empty()
-                    && report.find_span(name).is_none()
-                    && !report.hists.iter().any(|(n, _)| n == name)
-            })
-            .collect();
-        if !missing.is_empty() {
-            // Name what IS there: a failed gate is usually a typo or a
-            // scope that moved, and the fix is picking from this list.
-            let mut present: Vec<String> = Vec::new();
-            for root in &report.spans {
-                collect_span_names(root, &mut present);
+    // A required name may be satisfied by a phase span *or* a histogram
+    // scope: latency distributions like `net/session_ns` have no span of
+    // their own.
+    let missing = absent(args, "require", |name| {
+        report.find_span(name).is_some() || report.hists.iter().any(|(n, _)| n == name)
+    });
+    if !missing.is_empty() {
+        // Name what IS there: a failed gate is usually a typo or a
+        // scope that moved, and the fix is picking from this list.
+        let mut present: Vec<String> = Vec::new();
+        for root in &report.spans {
+            collect_span_names(root, &mut present);
+        }
+        present.extend(report.hists.iter().map(|(n, _)| n.clone()));
+        return Err(format!(
+            "{path}: report is missing required span(s)/histogram(s): {}\n\
+             present spans/histograms: {}",
+            missing.join(", "),
+            if present.is_empty() {
+                "(none)".to_string()
+            } else {
+                present.join(", ")
             }
-            present.extend(report.hists.iter().map(|(n, _)| n.clone()));
-            return Err(format!(
-                "{path}: report is missing required span(s)/histogram(s): {}\n\
-                 present spans/histograms: {}",
-                missing.join(", "),
-                if present.is_empty() {
-                    "(none)".to_string()
-                } else {
-                    present.join(", ")
-                }
-            )
-            .into());
-        }
+        )
+        .into());
     }
-    if let Some(required) = args.get("require-counter") {
-        // A counter "exists" when some scope recorded a nonzero value:
-        // an all-zero counter means the instrumentation never fired,
-        // which is exactly the wiring regression this flag guards.
-        let missing: Vec<&str> = required
-            .split(',')
-            .map(str::trim)
-            .filter(|name| !name.is_empty() && !report_counter_nonzero(&report, name))
-            .collect();
-        if !missing.is_empty() {
-            return Err(format!(
-                "{path}: required counter(s) absent or zero in every scope: {}",
-                missing.join(", ")
-            )
-            .into());
-        }
+    // A counter "exists" when some scope recorded a nonzero value: an
+    // all-zero counter means the instrumentation never fired, which is
+    // exactly the wiring regression this flag guards.
+    let missing = absent(args, "require-counter", |name| {
+        report_counter_nonzero(&report, name)
+    });
+    if !missing.is_empty() {
+        return Err(format!(
+            "{path}: required counter(s) absent or zero in every scope: {}",
+            missing.join(", ")
+        )
+        .into());
     }
-    if let Some(required) = args.get("require-quality") {
-        // `global` demands the report's own quality block; any other
-        // name demands a per-site quality entry (as `report merge`
-        // repopulates them). Either way the DBCV must be finite — a NaN
-        // from a broken scorer must not pass a quality gate.
-        let missing: Vec<&str> = required
-            .split(',')
-            .map(str::trim)
-            .filter(|name| !name.is_empty() && !report_quality_present(&report, name))
-            .collect();
-        if !missing.is_empty() {
-            return Err(format!(
-                "{path}: report is missing finite quality for scope(s): {}",
-                missing.join(", ")
-            )
-            .into());
-        }
+    // `global` demands the report's own quality block; any other name
+    // demands a per-site quality entry (as `report merge` repopulates
+    // them). Either way the DBCV must be finite — a NaN from a broken
+    // scorer must not pass a quality gate.
+    let missing = absent(args, "require-quality", |name| {
+        report_quality_present(&report, name)
+    });
+    if !missing.is_empty() {
+        return Err(format!(
+            "{path}: report is missing finite quality for scope(s): {}",
+            missing.join(", ")
+        )
+        .into());
     }
     if args.switch("hist") {
         // Distributions only; the full render below would repeat them.
@@ -959,6 +688,15 @@ fn cmd_report(raw: &[String]) -> CliResult {
     }
     print!("{}", report.render());
     Ok(())
+}
+
+/// The names of the comma-separated `--{key}` list that fail `present`.
+fn absent<'a>(args: &'a Args, key: &str, present: impl Fn(&str) -> bool) -> Vec<&'a str> {
+    let names = args.get(key).into_iter().flat_map(|list| list.split(','));
+    names
+        .map(str::trim)
+        .filter(|n| !n.is_empty() && !present(n))
+        .collect()
 }
 
 /// Every span name in the tree, depth-first — the "what is actually in
@@ -997,13 +735,11 @@ fn report_counter_nonzero(report: &RunReport, name: &str) -> bool {
 /// alone is accepted — the degenerate fleet a killed run leaves behind
 /// — and merges with a warning.
 fn cmd_report_merge(args: &Args) -> CliResult {
-    let positional = args.positional();
-    if positional.len() < 2 {
-        return Err("usage: report merge SERVER [SITE...] --out FILE".into());
-    }
+    // The form's operands guarantee a SERVER.
+    let (server, sites) = args.positional().split_at(1);
     let out = args.require("out")?;
-    let server = load_report(&positional[1])?;
-    let sites: Vec<RunReport> = positional[2..]
+    let server = load_report(&server[0])?;
+    let sites: Vec<RunReport> = sites
         .iter()
         .map(|p| load_report(p))
         .collect::<Result<_, _>>()?;
@@ -1029,9 +765,7 @@ fn cmd_report_merge(args: &Args) -> CliResult {
 /// `report timeline REPORT --out trace.json`: export the span forest as
 /// Chrome trace_event JSON.
 fn cmd_report_timeline(args: &Args) -> CliResult {
-    let [_, path] = args.positional() else {
-        return Err("usage: report timeline REPORT --out trace.json".into());
-    };
+    let path = &args.positional()[0];
     let out = args.require("out")?;
     let report = load_report(path)?;
     let trace = dbdc_obs::chrome_trace(&report).map_err(|e| format!("report timeline: {e}"))?;
@@ -1047,11 +781,7 @@ fn cmd_report_timeline(args: &Args) -> CliResult {
 }
 
 fn cmd_report_diff(args: &Args) -> CliResult {
-    let [_, old_path, new_path] = args.positional() else {
-        return Err("usage: report diff OLD NEW [--threshold FRACTION] \
-             [--quality-threshold DROP] [--only SUBSTR]"
-            .into());
-    };
+    let (old_path, new_path) = (&args.positional()[0], &args.positional()[1]);
     let threshold: f64 = args.get_or("threshold", dbdc_obs::diff::DEFAULT_THRESHOLD)?;
     if !(0.0..10.0).contains(&threshold) {
         return Err(format!("--threshold expects a fraction like 0.25, got {threshold}").into());

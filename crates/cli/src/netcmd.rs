@@ -16,21 +16,19 @@
 //! either poll that file (`--addr-file`, `--wait-ms`) or take an
 //! explicit `--connect HOST:PORT`.
 
-use crate::args::Args;
+use crate::args::{ArgError, Args};
 use crate::opts::{
-    build_params, finish_report, no_positionals, parse_partitioner, quality_stats, read_input,
-    require_sites, wants_report, CliResult,
+    build_params, dataset_info, finish_report, parse_partitioner, quality_stats,
+    read_protocol_input, require_sites, wants_report, CliResult,
 };
-use dbdc_geom::{Clustering, Dataset, Label};
+use dbdc_geom::{dataset_checksum, Clustering, Dataset, Label};
 use dbdc_net::http_get;
 use dbdc_net::{
-    run_site, serve, AdminServer, AdminState, FaultPlan, FaultProxy, RetryPolicy, ServeOptions,
-    SiteOptions,
+    run_site, serve, AdminServer, AdminState, FaultPlan, FaultProxy, ServeOptions, SiteOptions,
 };
 use dbdc_obs::{
-    delta, fmt_ms, fmt_sample, DatasetInfo, EnvFingerprint, NoopRecorder, Recorder,
-    RecordingRecorder, RunReport, SiteStats, SnapshotEngine, Span, TelemetrySnapshot,
-    TransferStats,
+    delta, env_fingerprint, fmt_ms, fmt_sample, NoopRecorder, Recorder, RecordingRecorder,
+    RunReport, SiteStats, SnapshotEngine, Span, TelemetrySnapshot, TransferStats,
 };
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
@@ -38,125 +36,11 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Usage text of the `serve` subcommand / `dbdc-server` binary.
-pub const SERVE_USAGE: &str = "\
-dbdc-server — the DBDC server half over real TCP
-
-usage: dbdc-server --sites K --eps E --min-pts M
-    [--eps-global MULT|max] [--index KIND]
-    [--bind ADDR]          listen address (default 127.0.0.1:0)
-    [--addr-file FILE]     write the bound address here (atomically) for
-                           sites to poll
-    [--read-timeout-ms N]  per-read socket timeout (default 2000); also
-                           paces broadcast resends
-    [--resend N]           broadcast resends per connection (default 3)
-    [--deadline-ms N]      overall run ceiling (default 60000)
-    [--drain-ms N]         replay window after all sites acked (default
-                           1000; keep above the sites' backoff ceiling)
-    [--run-id ID]          stamp the report with a shared run identity so
-                           `report merge` can join it with site reports
-    [--admin-addr ADDR]    serve live telemetry over HTTP while running:
-                           /metrics (Prometheus), /healthz, /readyz,
-                           /report (partial RunReport JSON); implies
-                           recording even without --trace/--metrics-out
-    [--trace] [--metrics-out FILE]
-      the report's upload/global/broadcast spans are measured socket
-      walls, not cost-model output; wire traffic lands under net/server.
-      On a deadline or protocol error the partial report is still
-      written, marked with param clean=false";
-
-/// Usage text of the `site` subcommand / `dbdc-site` binary.
-pub const SITE_USAGE: &str = "\
-dbdc-site — one DBDC client site over real TCP
-
-usage: dbdc-site --input FILE --site I --sites K --eps E --min-pts M
-    (--connect ADDR | --addr-file FILE)   server rendezvous
-    [--wait-ms N]          how long to poll --addr-file (default 10000)
-    [--partitioner random|roundrobin|stripes] [--seed N]
-                           must match every other site so the derived
-                           partitions are disjoint and complete
-    [--model scor|kmeans] [--eps-global MULT|max] [--index KIND]
-    [--threads T] [--partitions P] [--precision f64|f32]
-    [--retries N]          session attempts (default 5)
-    [--retry-base-ms N] [--retry-max-ms N]
-                           backoff start/ceiling (default 50/800)
-    [--connect-timeout-ms N] [--read-timeout-ms N]
-    [--out FILE]           write this site's final labels as
-                           `original_index,label` lines (-1 = noise)
-    [--run-id ID]          stamp the report with a shared run identity so
-                           `report merge` can join it with the server's
-    [--admin-addr ADDR]    live telemetry endpoints (/readyz turns 200
-                           once the session handshake has completed)
-    [--trace] [--metrics-out FILE]";
-
-/// Usage text of the `proxy` subcommand.
-pub const PROXY_USAGE: &str = "\
-dbdc-cli proxy — a fault-injecting TCP forwarder for torture runs
-
-usage: dbdc-cli proxy (--connect ADDR | --addr-file FILE)
-    [--wait-ms N]            how long to poll --addr-file (default 10000)
-    [--proxy-addr-file FILE] write the proxy's listen address here for
-                             sites to rendezvous on
-    [--seed N]               deterministic fault schedule seed (default 1)
-    [--drop P] [--truncate P] [--bitflip P]
-                             per-frame fault probabilities (default 0)
-    [--delay-p P] [--delay-ms N]
-                             per-frame delay probability and length
-    [--duration-ms N]        how long to forward before shutting down
-                             (default 30000)
-    [--run-id ID] [--trace] [--metrics-out FILE]
-    [--admin-addr ADDR]      expose the injected-fault ledger live on
-                             /metrics while the proxy forwards
-      the report carries the injected-fault ledger under proxy/c2s
-      (site->server) and proxy/s2c (server->site)";
-
-/// Usage text of the `watch` subcommand.
-pub const WATCH_USAGE: &str = "\
-dbdc-cli watch — live fleet telemetry from --admin-addr endpoints
-
-usage: dbdc-cli watch ADDR [ADDR...]
-    [--interval MS]   poll period (default 1000)
-    [--once]          scrape once, print the table, exit (no screen
-                      clearing — for scripts and CI)
-
-Each ADDR is a process's --admin-addr. Every tick polls /metrics and
-/readyz, computes deltas against the previous scrape, and renders
-frame/byte rates, retry and fault totals, per-phase latency
-percentiles, and session state for the whole fleet. The first tick
-(and --once) shows process-lifetime averages. Continuous mode exits on
-its own once every peer has been unreachable for three ticks (the
-fleet exited).";
-
 /// `serve` / `dbdc-server`: accept `--sites` connections, build and
 /// broadcast the global model, report measured transfer walls.
-pub fn cmd_serve(raw: &[String]) -> CliResult {
-    if wants_help(raw) {
-        println!("{SERVE_USAGE}");
-        return Ok(());
-    }
-    let args = Args::parse(
-        raw,
-        &[
-            "sites",
-            "eps",
-            "min-pts",
-            "eps-global",
-            "index",
-            "bind",
-            "addr-file",
-            "read-timeout-ms",
-            "resend",
-            "deadline-ms",
-            "drain-ms",
-            "run-id",
-            "admin-addr",
-            "trace",
-            "metrics-out",
-        ],
-    )?;
-    no_positionals(&args)?;
-    let params = build_params(&args)?;
-    let n_sites = require_sites(&args)?;
+pub fn cmd_serve(args: &Args) -> CliResult {
+    let params = build_params(args)?;
+    let n_sites = require_sites(args)?;
     let bind = args.get("bind").unwrap_or("127.0.0.1:0");
     let listener = TcpListener::bind(bind).map_err(|e| format!("cannot bind {bind}: {e}"))?;
     let addr = listener.local_addr()?;
@@ -166,27 +50,19 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
     }
 
     let mut opts = ServeOptions::new(n_sites, params);
-    opts.read_timeout = Duration::from_millis(args.get_or("read-timeout-ms", 2000u64)?);
-    opts.resend_attempts = args.get_or("resend", 3u32)?;
-    opts.deadline = Duration::from_millis(args.get_or("deadline-ms", 60_000u64)?);
-    opts.drain_window = Duration::from_millis(args.get_or("drain-ms", 1000u64)?);
+    set_ms(args, "read-timeout-ms", &mut opts.read_timeout)?;
+    if let Some(resends) = args.get_as("resend")? {
+        opts.resend_attempts = resends;
+    }
+    set_ms(args, "deadline-ms", &mut opts.deadline)?;
+    set_ms(args, "drain-ms", &mut opts.drain_window)?;
 
-    let wants = wants_report(&args);
-    let run_id = args.get("run-id").map(String::from);
-    let rec = Arc::new(RecordingRecorder::new());
-    let recording = wants || args.get("admin-addr").is_some();
-    let recorder: &dyn Recorder = if recording { &*rec } else { &NoopRecorder };
+    let wants = wants_report(args);
+    let tel = Telemetry::new(args, "serve", "server", "server".into());
+    let recorder = tel.recorder(wants, args);
     // The protocol listener is already accepting by the time the admin
     // plane comes up, so the server's readiness predicate is constant.
-    let _admin = spawn_admin(
-        &args,
-        "serve",
-        "server",
-        run_id.clone(),
-        "server".into(),
-        Arc::clone(&rec),
-        Box::new(|| true),
-    )?;
+    let _admin = tel.spawn_admin(args, Box::new(|| true))?;
 
     let t0 = Instant::now();
     let outcome = match serve(listener, opts, recorder) {
@@ -197,10 +73,9 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
             // partial report marked clean=false before surfacing the
             // error, so post-mortems of killed fleets have data.
             if wants {
-                let mut report =
-                    partial_report("serve", "server", run_id.clone(), "server".into(), &rec);
+                let mut report = tel.partial_report();
                 report.spans = vec![Span::new("dbdc_serve", t0.elapsed())];
-                finish_report(&args, &report)?;
+                finish_report(args, &report)?;
             }
             return Err(format!("serve: {e}").into());
         }
@@ -224,8 +99,8 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
     );
 
     if wants {
-        let mut report = RunReport::new("serve")
-            .with_identity("server", run_id, "server")
+        let mut report = tel
+            .report()
             .with_param("sites", n_sites)
             .with_param("connections", outcome.connections)
             .with_param("clean", true);
@@ -250,8 +125,8 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
             }
         }
         report.spans = vec![root];
-        report.scopes = rec.scopes();
-        report.hists = rec.hist_scopes();
+        report.scopes = tel.rec.scopes();
+        report.hists = tel.rec.hist_scopes();
         report.transfer = Some(TransferStats {
             bytes_up,
             bytes_down: outcome.global_model_bytes * n_sites,
@@ -284,62 +159,25 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
                 "quality: global-model DBCV {:+.4} over {} cluster(s)",
                 quality.dbcv, quality.clusters
             );
-            report.scopes = rec.scopes();
+            report.scopes = tel.rec.scopes();
             report.quality = Some(quality);
         }
-        finish_report(&args, &report)?;
+        finish_report(args, &report)?;
     }
     Ok(())
 }
 
 /// `site` / `dbdc-site`: derive this site's partition, run the client
 /// protocol against the server, optionally write the final labels.
-pub fn cmd_site(raw: &[String]) -> CliResult {
-    if wants_help(raw) {
-        println!("{SITE_USAGE}");
-        return Ok(());
-    }
-    let args = Args::parse(
-        raw,
-        &[
-            "input",
-            "site",
-            "sites",
-            "eps",
-            "min-pts",
-            "model",
-            "eps-global",
-            "index",
-            "threads",
-            "partitions",
-            "precision",
-            "partitioner",
-            "seed",
-            "connect",
-            "addr-file",
-            "wait-ms",
-            "retries",
-            "retry-base-ms",
-            "retry-max-ms",
-            "connect-timeout-ms",
-            "read-timeout-ms",
-            "out",
-            "run-id",
-            "admin-addr",
-            "trace",
-            "metrics-out",
-        ],
-    )?;
-    no_positionals(&args)?;
-    let data = read_input(&args)?;
-    let params = build_params(&args)?;
+pub fn cmd_site(args: &Args) -> CliResult {
+    let data = read_protocol_input(args)?;
+    let params = build_params(args)?;
     let site: u32 = args.require_as("site")?;
-    let n_sites = require_sites(&args)?;
+    let n_sites = require_sites(args)?;
     if site as usize >= n_sites {
         return Err(format!("--site {site} out of range for --sites {n_sites}").into());
     }
-    let seed: u64 = args.get_or("seed", 42)?;
-    let partitioner = parse_partitioner(&args, seed)?;
+    let partitioner = parse_partitioner(args)?;
     // Every site derives the same deterministic partitioning and keeps
     // its own slice — identical to the in-process runtime's split.
     let assignment = partitioner.assign(&data, n_sites);
@@ -347,35 +185,26 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
     let site_data = parts.swap_remove(site as usize);
     let origin_ids = &back[site as usize];
 
-    let addr = resolve_addr(&args)?;
+    let addr = resolve_addr(args)?;
     let mut opts = SiteOptions::new(site, n_sites as u32, params);
-    opts.connect_timeout = Duration::from_millis(args.get_or("connect-timeout-ms", 2000u64)?);
-    opts.read_timeout = Duration::from_millis(args.get_or("read-timeout-ms", 3000u64)?);
-    opts.retry = RetryPolicy {
-        attempts: args.get_or("retries", RetryPolicy::standard().attempts)?,
-        base_delay: Duration::from_millis(args.get_or("retry-base-ms", 50u64)?),
-        max_delay: Duration::from_millis(args.get_or("retry-max-ms", 800u64)?),
-    };
+    set_ms(args, "connect-timeout-ms", &mut opts.connect_timeout)?;
+    set_ms(args, "read-timeout-ms", &mut opts.read_timeout)?;
+    if let Some(attempts) = args.get_as("retries")? {
+        opts.retry.attempts = attempts;
+    }
+    set_ms(args, "retry-base-ms", &mut opts.retry.base_delay)?;
+    set_ms(args, "retry-max-ms", &mut opts.retry.max_delay)?;
 
-    let wants = wants_report(&args);
-    let run_id = args.get("run-id").map(String::from);
-    let rec = Arc::new(RecordingRecorder::new());
-    let recording = wants || args.get("admin-addr").is_some();
-    let recorder: &dyn Recorder = if recording { &*rec } else { &NoopRecorder };
+    let wants = wants_report(args);
+    let tel = Telemetry::new(args, "site", "site", format!("site[{site}]"));
+    let recorder = tel.recorder(wants, args);
     // A site is ready once its handshake has completed: the wire
     // metrics count the HELLO_ACK under its own per-kind subscope, so
     // readiness is a plain counter probe against the live recorder.
-    let ready_rec = Arc::clone(&rec);
+    let ready_rec = Arc::clone(&tel.rec);
     let hello_ack_scope = format!("net/site[{site}]/HELLO_ACK");
-    let _admin = spawn_admin(
-        &args,
-        "site",
-        "site",
-        run_id.clone(),
-        format!("site[{site}]"),
-        Arc::clone(&rec),
-        Box::new(move || ready_rec.counters(&hello_ack_scope).frames_received >= 1),
-    )?;
+    let ready = move || ready_rec.counters(&hello_ack_scope).frames_received >= 1;
+    let _admin = tel.spawn_admin(args, Box::new(ready))?;
 
     let outcome = match run_site(addr, &site_data, &opts, recorder) {
         Ok(outcome) => outcome,
@@ -384,14 +213,8 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
             // partial report (local-phase counters, attempted wire
             // traffic) marked clean=false.
             if wants {
-                let report = partial_report(
-                    "site",
-                    "site",
-                    run_id.clone(),
-                    format!("site[{site}]"),
-                    &rec,
-                );
-                finish_report(&args, &report)?;
+                let report = tel.partial_report();
+                finish_report(args, &report)?;
             }
             return Err(format!("site {site}: {e}").into());
         }
@@ -417,17 +240,14 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
     }
 
     if wants {
-        let mut report = RunReport::new("site")
-            .with_identity("site", run_id, format!("site[{site}]"))
+        let mut report = tel
+            .report()
             .with_param("site", site)
             .with_param("sites", n_sites)
             .with_param("attempts", outcome.attempts)
             .with_param("clean", true);
         report.env = Some(env_fingerprint(dataset_checksum(&data)));
-        report.dataset = Some(DatasetInfo {
-            points: site_data.len(),
-            dim: data.dim(),
-        });
+        report.dataset = Some(dataset_info(&site_data));
         let mut root = Span::new(
             "dbdc_site",
             outcome.local_wall + outcome.session_wall + outcome.relabel_wall,
@@ -449,16 +269,16 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
         root.push(session);
         root.push(Span::new(format!("relabel[{site}]"), outcome.relabel_wall));
         report.spans = vec![root];
-        report.scopes = rec.scopes();
-        report.hists = rec.hist_scopes();
+        report.scopes = tel.rec.scopes();
+        report.hists = tel.rec.hist_scopes();
         report.sites = vec![SiteStats {
             site: site as usize,
             points: site_data.len(),
-            representatives: rec.counters(&format!("local[{site}]")).representatives as usize,
+            representatives: tel.rec.counters(&format!("local[{site}]")).representatives as usize,
             bytes_up: outcome.bytes_up,
             local: outcome.local_wall,
             relabel: outcome.relabel_wall,
-            counters: rec.counters(&format!("local[{site}]")),
+            counters: tel.rec.counters(&format!("local[{site}]")),
         }];
         report.transfer = Some(TransferStats {
             bytes_up: outcome.bytes_up,
@@ -475,9 +295,9 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
             "quality: local DBCV {:+.4} over {} cluster(s), {} noise",
             quality.dbcv, quality.clusters, quality.noise
         );
-        report.scopes = rec.scopes();
+        report.scopes = tel.rec.scopes();
         report.quality = Some(quality);
-        finish_report(&args, &report)?;
+        finish_report(args, &report)?;
     }
     Ok(())
 }
@@ -485,33 +305,8 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
 /// `proxy`: a standalone fault-injecting forwarder so shell walkthroughs
 /// and CI can run the server/site fleet through an adversarial link
 /// without writing Rust.
-pub fn cmd_proxy(raw: &[String]) -> CliResult {
-    if wants_help(raw) {
-        println!("{PROXY_USAGE}");
-        return Ok(());
-    }
-    let args = Args::parse(
-        raw,
-        &[
-            "connect",
-            "addr-file",
-            "wait-ms",
-            "proxy-addr-file",
-            "seed",
-            "drop",
-            "delay-p",
-            "delay-ms",
-            "truncate",
-            "bitflip",
-            "duration-ms",
-            "run-id",
-            "admin-addr",
-            "trace",
-            "metrics-out",
-        ],
-    )?;
-    no_positionals(&args)?;
-    let upstream = resolve_addr(&args)?;
+pub fn cmd_proxy(args: &Args) -> CliResult {
+    let upstream = resolve_addr(args)?;
     let plan = FaultPlan {
         seed: args.get_or("seed", 1u64)?,
         drop: args.get_or("drop", 0.0)?,
@@ -520,35 +315,23 @@ pub fn cmd_proxy(raw: &[String]) -> CliResult {
         truncate: args.get_or("truncate", 0.0)?,
         bitflip: args.get_or("bitflip", 0.0)?,
     };
-    let wants = wants_report(&args);
-    let run_id = args.get("run-id").map(String::from);
-    let rec = Arc::new(RecordingRecorder::new());
-    let recording = wants || args.get("admin-addr").is_some();
+    let wants = wants_report(args);
+    let tel = Telemetry::new(args, "proxy", "proxy", "proxy".into());
     let t0 = Instant::now();
-    let mut proxy = if recording {
-        FaultProxy::spawn_observed(upstream, plan, &*rec)
+    let mut proxy = if wants || args.get("admin-addr").is_some() {
+        FaultProxy::spawn_observed(upstream, plan, &*tel.rec)
     } else {
         FaultProxy::spawn(upstream, plan)
     }
     .map_err(|e| format!("proxy: {e}"))?;
     // The proxy is forwarding as soon as spawn returns; the admin plane
     // exposes the injected-fault ledger (proxy/c2s, proxy/s2c) live.
-    let _admin = spawn_admin(
-        &args,
-        "proxy",
-        "proxy",
-        run_id.clone(),
-        "proxy".into(),
-        Arc::clone(&rec),
-        Box::new(|| true),
-    )?;
+    let _admin = tel.spawn_admin(args, Box::new(|| true))?;
     println!("dbdc proxy forwarding {} -> {upstream}", proxy.addr());
     if let Some(path) = args.get("proxy-addr-file") {
         write_addr_file(path, proxy.addr())?;
     }
-    std::thread::sleep(Duration::from_millis(
-        args.get_or("duration-ms", 30_000u64)?,
-    ));
+    std::thread::sleep(Duration::from_millis(args.get_or("duration-ms", 30_000)?));
     proxy.shutdown();
     let wall = t0.elapsed();
     let stats = proxy.stats();
@@ -561,33 +344,28 @@ pub fn cmd_proxy(raw: &[String]) -> CliResult {
         stats.bitflipped.load(Ordering::Relaxed),
     );
     if wants {
-        let mut report = RunReport::new("proxy")
-            .with_identity("proxy", run_id, "proxy")
+        let mut report = tel
+            .report()
             .with_param("seed", plan.seed)
             .with_param("drop", plan.drop)
             .with_param("forwarded", stats.forwarded.load(Ordering::Relaxed));
         report.env = Some(env_fingerprint("none".into()));
         report.spans = vec![Span::new("dbdc_proxy", wall)];
-        report.scopes = rec.scopes();
-        finish_report(&args, &report)?;
+        report.scopes = tel.rec.scopes();
+        finish_report(args, &report)?;
     }
     Ok(())
 }
 
 /// `watch`: poll the fleet's `--admin-addr` endpoints, diff consecutive
 /// snapshots, and render a live rates table.
-pub fn cmd_watch(raw: &[String]) -> CliResult {
-    if wants_help(raw) {
-        println!("{WATCH_USAGE}");
-        return Ok(());
-    }
-    let args = Args::parse(raw, &["interval", "once"])?;
-    let addrs: Vec<String> = args.positional().to_vec();
-    if addrs.is_empty() {
-        return Err("usage: dbdc-cli watch ADDR [ADDR...] [--interval MS] [--once]".into());
+pub fn cmd_watch(args: &Args) -> CliResult {
+    let addrs = args.positional();
+    let once = args.switch("once");
+    if once && args.get("interval").is_some() {
+        return Err("--interval paces continuous mode; --once scrapes a single time".into());
     }
     let interval = Duration::from_millis(args.get_or("interval", 1000u64)?);
-    let once = args.switch("once");
     let timeout = Duration::from_secs(2);
 
     let mut prev: Vec<Option<TelemetrySnapshot>> = (0..addrs.len()).map(|_| None).collect();
@@ -621,7 +399,6 @@ pub fn cmd_watch(raw: &[String]) -> CliResult {
             addrs.len(),
             interval
         );
-        use std::io::Write as _;
         let _ = std::io::stdout().flush();
         if up == 0 {
             all_down_ticks += 1;
@@ -702,110 +479,84 @@ fn render_peer(
     out
 }
 
-/// The partial report a live `/report` scrape or an abnormal exit can
-/// assemble: identity plus everything the recorder holds right now.
-/// Outcome-derived sections (transfer, quality, measured phase spans)
-/// don't exist until the run completes, so they are absent; the
-/// `clean=false` param marks the report as a mid-run or failed-run view
-/// (the normal exit path stamps `clean=true`).
-fn partial_report(
-    command: &str,
-    role: &str,
-    run_id: Option<String>,
-    peer: String,
-    rec: &RecordingRecorder,
-) -> RunReport {
-    let mut report = RunReport::new(command)
-        .with_identity(role, run_id, peer)
-        .with_param("clean", false);
-    report.env = Some(env_fingerprint("none".into()));
-    report.scopes = rec.scopes();
-    report.hists = rec.hist_scopes();
-    report
-}
-
-/// Binds the `--admin-addr` telemetry plane when requested: `/metrics`
-/// snapshots the recorder, `/readyz` answers from the role-specific
-/// predicate, `/report` serves the current partial report. Returns the
-/// handle to keep alive for the duration of the run (`None` when the
-/// flag is absent — the admin plane then costs nothing at all).
-fn spawn_admin(
-    args: &Args,
+/// A networked process's identity and recorder: what its reports, its
+/// partial reports and its `--admin-addr` plane say about it.
+#[derive(Clone)]
+struct Telemetry {
     command: &'static str,
     role: &'static str,
     run_id: Option<String>,
     peer: String,
     rec: Arc<RecordingRecorder>,
-    ready: Box<dyn Fn() -> bool + Send + Sync>,
-) -> Result<Option<AdminServer>, Box<dyn std::error::Error>> {
-    let Some(addr) = args.get("admin-addr") else {
-        return Ok(None);
-    };
-    let engine = SnapshotEngine::new(Arc::clone(&rec)).with_identity(role, run_id.clone(), &peer);
-    let state = AdminState {
-        engine,
-        ready,
-        report: Box::new(move || {
-            partial_report(command, role, run_id.clone(), peer.clone(), &rec).to_json_string()
-        }),
-    };
-    let admin = AdminServer::spawn(addr, state)
-        .map_err(|e| format!("cannot bind admin address {addr}: {e}"))?;
-    println!("admin telemetry on http://{}/metrics", admin.addr());
-    Ok(Some(admin))
 }
 
-/// FNV-1a over the dataset's shape and exact coordinate bit patterns —
-/// the same checksum the bench harness stamps, so merged fleet reports
-/// can confirm every site loaded the identical input.
-fn dataset_checksum(data: &Dataset) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    eat(&(data.dim() as u64).to_le_bytes());
-    eat(&(data.len() as u64).to_le_bytes());
-    for p in data.iter() {
-        for &c in p {
-            eat(&c.to_bits().to_le_bytes());
+impl Telemetry {
+    fn new(args: &Args, command: &'static str, role: &'static str, peer: String) -> Telemetry {
+        Telemetry {
+            command,
+            role,
+            run_id: args.get("run-id").map(String::from),
+            peer,
+            rec: Arc::new(RecordingRecorder::new()),
         }
     }
-    format!("{h:016x}")
-}
 
-/// The producing environment, mirroring the bench harness's fingerprint
-/// so `report merge` can cross-check toolchain drift across the fleet.
-/// Undeterminable fields hold `"unknown"` rather than failing the run.
-fn env_fingerprint(dataset_checksum: String) -> EnvFingerprint {
-    let run = |cmd: &str, cmd_args: &[&str]| -> Option<String> {
-        let out = std::process::Command::new(cmd)
-            .args(cmd_args)
-            .output()
-            .ok()?;
-        if !out.status.success() {
-            return None;
+    /// The live recorder when a report or the admin plane will read it,
+    /// otherwise one that costs nothing.
+    fn recorder(&self, wants: bool, args: &Args) -> &dyn Recorder {
+        if wants || args.get("admin-addr").is_some() {
+            &*self.rec
+        } else {
+            &NoopRecorder
         }
-        let s = String::from_utf8(out.stdout).ok()?;
-        let s = s.trim();
-        (!s.is_empty()).then(|| s.to_string())
-    };
-    EnvFingerprint {
-        nproc: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        rustc: run("rustc", &["--version"]).unwrap_or_else(|| "unknown".into()),
-        git_rev: run("git", &["rev-parse", "--short=12", "HEAD"])
-            .unwrap_or_else(|| "unknown".into()),
-        dataset_checksum,
     }
-}
 
-fn wants_help(raw: &[String]) -> bool {
-    raw.iter()
-        .any(|a| a == "--help" || a == "-h" || a == "help")
+    /// A report stamped with this process's identity.
+    fn report(&self) -> RunReport {
+        RunReport::new(self.command).with_identity(self.role, self.run_id.clone(), &self.peer)
+    }
+
+    /// The partial report a live `/report` scrape or an abnormal exit can
+    /// assemble: identity plus everything the recorder holds right now.
+    /// Outcome-derived sections (transfer, quality, measured phase spans)
+    /// don't exist until the run completes, so they are absent; the
+    /// `clean=false` param marks the report as a mid-run or failed-run view
+    /// (the normal exit path stamps `clean=true`).
+    fn partial_report(&self) -> RunReport {
+        let mut report = self.report().with_param("clean", false);
+        report.env = Some(env_fingerprint("none".into()));
+        report.scopes = self.rec.scopes();
+        report.hists = self.rec.hist_scopes();
+        report
+    }
+
+    /// Binds the `--admin-addr` telemetry plane when requested: `/metrics`
+    /// snapshots the recorder, `/readyz` answers from the role-specific
+    /// predicate, `/report` serves the current partial report. Returns the
+    /// handle to keep alive for the duration of the run (`None` when the
+    /// flag is absent — the admin plane then costs nothing at all).
+    fn spawn_admin(
+        &self,
+        args: &Args,
+        ready: Box<dyn Fn() -> bool + Send + Sync>,
+    ) -> Result<Option<AdminServer>, Box<dyn std::error::Error>> {
+        let Some(addr) = args.get("admin-addr") else {
+            return Ok(None);
+        };
+        let engine = SnapshotEngine::new(Arc::clone(&self.rec));
+        let engine = engine.with_identity(self.role, self.run_id.clone(), &self.peer);
+        let tel = self.clone();
+        let report = Box::new(move || tel.partial_report().to_json_string());
+        let state = AdminState {
+            engine,
+            ready,
+            report,
+        };
+        let admin = AdminServer::spawn(addr, state)
+            .map_err(|e| format!("cannot bind admin address {addr}: {e}"))?;
+        println!("admin telemetry on http://{}/metrics", admin.addr());
+        Ok(Some(admin))
+    }
 }
 
 /// Writes the server address atomically (write + rename) so a polling
@@ -822,6 +573,14 @@ fn write_addr_file(path: &str, addr: SocketAddr) -> CliResult {
 /// until it appears (the server writes it after binding).
 fn resolve_addr(args: &Args) -> Result<SocketAddr, Box<dyn std::error::Error>> {
     if let Some(spec) = args.get("connect") {
+        if let Some(poll) = ["addr-file", "wait-ms"]
+            .iter()
+            .find(|k| args.get(k).is_some())
+        {
+            return Err(
+                format!("--{poll} polls for the server's address; --connect names it").into(),
+            );
+        }
         return spec
             .parse()
             .map_err(|e| format!("--connect {spec}: {e}").into());
@@ -842,6 +601,15 @@ fn resolve_addr(args: &Args) -> Result<SocketAddr, Box<dyn std::error::Error>> {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// Overrides `slot` with the `--{key}` milliseconds when the flag is
+/// given, keeping the library's default otherwise.
+fn set_ms(args: &Args, key: &str, slot: &mut Duration) -> Result<(), ArgError> {
+    if let Some(ms) = args.get_as(key)? {
+        *slot = Duration::from_millis(ms);
+    }
+    Ok(())
 }
 
 /// Writes `original_index,label` lines (label `-1` = noise) for this

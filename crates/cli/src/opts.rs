@@ -6,7 +6,7 @@ use crate::csv;
 use dbdc::{DbdcParams, EpsGlobal, LocalModelKind, Partitioner};
 use dbdc_cluster::dbcv::{dbcv_with, CorePath};
 use dbdc_geom::{Clustering, Dataset, Euclidean};
-use dbdc_obs::{QualityStats, Recorder, RunReport};
+use dbdc_obs::{DatasetInfo, QualityStats, Recorder, RunReport};
 use std::fs::File;
 use std::io::BufReader;
 
@@ -44,6 +44,9 @@ pub fn quality_stats(
 /// Every subcommand's result type.
 pub type CliResult = Result<(), Box<dyn std::error::Error>>;
 
+/// The function that runs one command form.
+pub type Command = fn(&Args) -> CliResult;
+
 /// Whether the command should assemble a [`RunReport`] at all.
 pub fn wants_report(args: &Args) -> bool {
     args.switch("trace") || args.get("metrics-out").is_some()
@@ -72,11 +75,11 @@ pub fn parse_link(args: &Args) -> Result<&str, Box<dyn std::error::Error>> {
     Ok(link)
 }
 
-/// Rejects stray positional arguments — every subcommand is flag-driven.
-pub fn no_positionals(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    match args.positional() {
-        [] => Ok(()),
-        extra => Err(format!("unexpected arguments: {extra:?}").into()),
+/// The report's record of a dataset's size and shape.
+pub fn dataset_info(data: &Dataset) -> DatasetInfo {
+    DatasetInfo {
+        points: data.len(),
+        dim: data.dim(),
     }
 }
 
@@ -87,12 +90,13 @@ pub fn read_input(args: &Args) -> Result<Dataset, Box<dyn std::error::Error>> {
     Ok(csv::read_dataset(BufReader::new(file))?)
 }
 
-/// Parses `--eps-global` (a positive multiplier of `--eps`, or `max`).
-pub fn parse_eps_global(args: &Args) -> Result<EpsGlobal, Box<dyn std::error::Error>> {
-    match args.get("eps-global") {
-        None => Ok(EpsGlobal::MultipleOfLocal(2.0)),
-        Some(v) => Ok(eps_global_choice("eps-global", v)?),
-    }
+/// Loads `--input` for a command whose local models cross the wire
+/// (`run`, `compare`, `tune`, `site`), rejecting a file wider than the
+/// wire format's `dim` field before any clustering.
+pub fn read_protocol_input(args: &Args) -> Result<Dataset, Box<dyn std::error::Error>> {
+    let data = read_input(args)?;
+    dbdc::wire::check_dim(data.dim()).map_err(|e| format!("--input: {e}"))?;
+    Ok(data)
 }
 
 /// One `Eps_global` choice given to `--{flag}`: `max`, or a positive
@@ -132,40 +136,43 @@ pub fn require_sites(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
     }
 }
 
-/// Parses `--model` (scor|kmeans).
-pub fn parse_model(args: &Args) -> Result<LocalModelKind, Box<dyn std::error::Error>> {
-    match args.get("model") {
-        None | Some("scor") => Ok(LocalModelKind::Scor),
-        Some("kmeans") => Ok(LocalModelKind::KMeans),
-        Some(v) => Err(format!("--model expects scor|kmeans, got {v:?}").into()),
-    }
-}
-
-/// Parses `--partitioner` (random|roundrobin|stripes).
-pub fn parse_partitioner(
-    args: &Args,
-    seed: u64,
-) -> Result<Partitioner, Box<dyn std::error::Error>> {
-    match args.get("partitioner") {
-        None | Some("random") => Ok(Partitioner::RandomEqual { seed }),
-        Some("roundrobin") => Ok(Partitioner::RoundRobin),
-        Some("stripes") => Ok(Partitioner::SpatialStripes { axis: 0 }),
-        Some(v) => {
+/// Parses `--partitioner` (random|roundrobin|stripes) and the random
+/// split's `--seed`, which the other two would ignore.
+pub fn parse_partitioner(args: &Args) -> Result<Partitioner, Box<dyn std::error::Error>> {
+    match (args.get("partitioner"), args.get_as("seed")?) {
+        (None | Some("random"), seed) => Ok(Partitioner::RandomEqual {
+            seed: seed.unwrap_or(42),
+        }),
+        (Some("roundrobin" | "stripes"), Some(_)) => {
+            Err("--seed applies only to --partitioner random".into())
+        }
+        (Some("roundrobin"), None) => Ok(Partitioner::RoundRobin),
+        (Some("stripes"), None) => Ok(Partitioner::SpatialStripes { axis: 0 }),
+        (Some(v), _) => {
             Err(format!("--partitioner expects random|roundrobin|stripes, got {v:?}").into())
         }
     }
 }
 
 /// Builds the full [`DbdcParams`] from `--eps`, `--min-pts`, and the
-/// optional model/index/threads/partitions/precision flags.
+/// optional eps-global/model/index/threads/partitions/precision flags.
 pub fn build_params(args: &Args) -> Result<DbdcParams, Box<dyn std::error::Error>> {
+    let eps_global = match args.get("eps-global") {
+        None => EpsGlobal::MultipleOfLocal(2.0),
+        Some(v) => eps_global_choice("eps-global", v)?,
+    };
+    let model = match args.get("model") {
+        None | Some("scor") => LocalModelKind::Scor,
+        Some("kmeans") => LocalModelKind::KMeans,
+        Some(v) => return Err(format!("--model expects scor|kmeans, got {v:?}").into()),
+    };
     let index: dbdc_index::IndexKind = args.get_or("index", dbdc_index::IndexKind::RStar)?;
     let threads: usize = args.get_or("threads", 1)?;
     let partitions: usize = args.get_or("partitions", 1)?;
     let precision: dbdc_index::Precision = args.get_or("precision", dbdc_index::Precision::F64)?;
     Ok(local_params(args)?
-        .with_eps_global(parse_eps_global(args)?)
-        .with_model(parse_model(args)?)
+        .with_eps_global(eps_global)
+        .with_model(model)
         .with_index(index)
         .with_threads(threads)
         .with_partitions(partitions)

@@ -203,6 +203,221 @@ fn bad_usage_exits_nonzero_with_message() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("--eps-global"), "{stderr}");
     assert!(!String::from_utf8_lossy(&out.stdout).contains("listening"));
+
+    // Strict parsing: a flag is honoured or rejected, never dropped or
+    // overridden. Each line exits 1 naming the flag, or the stray word.
+    let csv = tmp("strict.csv");
+    let svg = tmp("strict.svg");
+    assert!(bin()
+        .args(["generate", "--set", "c", "--seed", "3", "--out"])
+        .arg(&csv)
+        .status()
+        .expect("binary runs")
+        .success());
+    let input = csv.to_str().unwrap();
+    let protocol = [
+        "--input",
+        input,
+        "--eps",
+        "1.6",
+        "--min-pts",
+        "5",
+        "--sites",
+        "2",
+    ];
+    let run = |extra: &[&'static str]| {
+        let mut argv = vec!["run"];
+        argv.extend(protocol);
+        argv.extend(extra);
+        argv
+    };
+    let mut stream = vec!["stream"];
+    stream.extend(protocol);
+    let mut stream_batch = stream.clone();
+    stream_batch.extend(["--batch", "0"]);
+    stream.extend(["--seed", "5"]);
+    let strict: Vec<(Vec<&str>, &str)> = vec![
+        (run(&["--threads", "--partitions", "2"]), "--threads"),
+        (run(&["--seed"]), "--seed"),
+        (run(&["--eps", "99"]), "--eps"),
+        (run(&["--trace", "yes"]), "\"yes\""),
+        (run(&["--partitioner", "stripes", "--seed", "3"]), "--seed"),
+        (stream, "--seed"),
+        (vec!["suggest", "--input", input, "--k", "0"], "--k"),
+        (stream_batch, "--batch"),
+        (vec!["generate", "--set", "b", "--n", "50"], "--n"),
+        (vec!["generate", "--set", "c", "--n", "50"], "--n"),
+        (
+            vec![
+                "plot",
+                "--input",
+                input,
+                "--out",
+                svg.to_str().unwrap(),
+                "--index",
+                "grid",
+            ],
+            "--index",
+        ),
+        (vec!["report", "--input", "R", "--out", "F"], "--out"),
+        (
+            vec!["report", "--input", "R", "--threshold", "0.5"],
+            "--threshold",
+        ),
+        (
+            vec!["report", "diff", "A", "B", "--require", "X"],
+            "--require",
+        ),
+        (vec!["report", "merge", "S", "--hist"], "--hist"),
+        (vec!["report", "diff", "A"], "OLD NEW"),
+        (
+            vec!["watch", "127.0.0.1:9", "--once", "--interval", "5"],
+            "--interval",
+        ),
+        (
+            vec!["proxy", "--connect", "127.0.0.1:9", "--addr-file", "x"],
+            "--addr-file",
+        ),
+    ];
+    for (argv, needle) in strict {
+        let out = bin().args(&argv).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        assert!(stderr.contains(needle), "{argv:?}: {stderr}");
+    }
+    assert!(!svg.exists(), "a rejected plot wrote its SVG");
+    let _ = std::fs::remove_file(&csv);
+
+    // A CSV wider than the wire format's dim field fails before any
+    // clustering on every command whose local models cross the wire,
+    // while the central commands still take it.
+    let wide = tmp("wide.csv");
+    let row = vec!["1"; 70_000].join(",");
+    std::fs::write(&wide, format!("{row}\n{row}\n")).expect("wide csv written");
+    let wide_in = wide.to_str().unwrap();
+    let local = ["--input", wide_in, "--eps", "1", "--min-pts", "1"];
+    let protocol = ["--sites", "1", "--index", "linear"];
+    let site = ["--site", "0", "--connect", "127.0.0.1:9"];
+    for (exe, cmd) in [
+        (env!("CARGO_BIN_EXE_dbdc-cli"), "run"),
+        (env!("CARGO_BIN_EXE_dbdc-cli"), "compare"),
+        (env!("CARGO_BIN_EXE_dbdc-cli"), "tune"),
+        (env!("CARGO_BIN_EXE_dbdc-site"), ""),
+    ] {
+        let mut c = Command::new(exe);
+        if !cmd.is_empty() {
+            c.arg(cmd);
+        }
+        c.args(local).args(protocol);
+        if cmd.is_empty() {
+            c.args(site);
+        }
+        let out = c.output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exe} {cmd}: {stderr}");
+        assert!(
+            stderr.contains("70000") && stderr.contains("65535"),
+            "{exe} {cmd}: {stderr}"
+        );
+    }
+    let out = bin()
+        .arg("central")
+        .args(local)
+        .args(["--index", "linear"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "central on wide input: {out:?}");
+    let _ = std::fs::remove_file(&wide);
+}
+
+#[test]
+fn every_form_answers_help_from_its_table() {
+    use dbdc_cli::flags::*;
+    let forms = [
+        &GENERATE,
+        &CENTRAL,
+        &RUN,
+        &COMPARE,
+        &TUNE,
+        &PLOT,
+        &SUGGEST,
+        &STREAM,
+        &SERVE,
+        &SITE,
+        &PROXY,
+        &WATCH,
+        &REPORT,
+        &REPORT_DIFF,
+        &REPORT_MERGE,
+        &REPORT_TIMELINE,
+    ];
+    let out = bin().arg("--help").output().expect("binary runs");
+    assert!(out.status.success(), "{out:?}");
+    let overview = String::from_utf8_lossy(&out.stdout).into_owned();
+    // The overview lists these forms and no other: one synopsis line each,
+    // in this order.
+    let listed: Vec<&str> = overview
+        .lines()
+        .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+        .collect();
+    let synopses: Vec<String> = forms
+        .iter()
+        .map(|f| format!("  {} {}", f.command, f.synopsis()))
+        .collect();
+    assert_eq!(listed, synopses, "{overview}");
+    for form in forms {
+        let words: Vec<&str> = form.command.split(' ').collect();
+        for help in ["--help", "-h"] {
+            let out = bin().args(&words).arg(help).output().expect("binary runs");
+            assert!(out.status.success(), "{} {help}: {out:?}", form.command);
+            let usage = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(usage, form.usage(), "{} {help}", form.command);
+            for flag in form.flags {
+                let spelled = match flag.value {
+                    Some(v) => format!("--{} {v}", flag.name),
+                    None => format!("--{}", flag.name),
+                };
+                assert!(usage.contains(&spelled), "{spelled}: {usage}");
+            }
+        }
+    }
+    for (exe, form) in [
+        (env!("CARGO_BIN_EXE_dbdc-server"), &SERVE),
+        (env!("CARGO_BIN_EXE_dbdc-site"), &SITE),
+    ] {
+        let out = Command::new(exe)
+            .arg("--help")
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{exe}: {out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), form.usage());
+    }
+    // Without a command the overview goes to stderr and the exit is 2.
+    let out = bin().output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(String::from_utf8_lossy(&out.stderr), overview);
+}
+
+#[test]
+fn generate_to_stdout_writes_only_csv_rows() {
+    for (extra, width) in [(&[][..], 2), (&["--truth"][..], 3)] {
+        let out = bin()
+            .args(["generate", "--set", "c", "--seed", "3"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let first = stdout.lines().next().expect("a first row");
+        let fields: Vec<f64> = first
+            .split(',')
+            .map(|f| f.parse().expect("a numeric field"))
+            .collect();
+        assert_eq!(fields.len(), width, "{first}");
+        // The status line goes to stderr instead.
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("generated 1021 points"), "{stderr}");
+    }
 }
 
 #[test]

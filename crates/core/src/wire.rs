@@ -118,6 +118,9 @@ fn finish(mut buf: BytesMut) -> Bytes {
     buf.freeze()
 }
 
+/// The widest point the wire's `dim` field can carry.
+pub const MAX_DIM: usize = u16::MAX as usize;
+
 /// The smallest valid message on the wire: an empty local model —
 /// magic (4) + version (1) + kind (1) + site (4) + dim (2) + count (4) +
 /// checksum (8). Anything shorter is rejected before the checksum is
@@ -171,6 +174,19 @@ fn get_u16(buf: &mut &[u8]) -> Result<u16, WireError> {
     Ok(buf.get_u16_le())
 }
 
+/// Fails with [`WireError::Oversize`] when points of `dim` coordinates
+/// do not fit the wire's `dim` field ([`MAX_DIM`]).
+pub fn check_dim(dim: usize) -> Result<(), WireError> {
+    if dim > MAX_DIM {
+        return Err(WireError::Oversize {
+            field: "dim",
+            value: dim as u64,
+            max: MAX_DIM as u64,
+        });
+    }
+    Ok(())
+}
+
 /// Validates that `dim`/`count` fit their wire fields and that every
 /// representative point matches the declared dimensionality. Encoding
 /// without this check would truncate `dim as u16` / `len as u32` into a
@@ -181,13 +197,7 @@ fn check_header(
     count: usize,
     rep_dims: impl Iterator<Item = usize>,
 ) -> Result<(), WireError> {
-    if dim > u16::MAX as usize {
-        return Err(WireError::Oversize {
-            field: "dim",
-            value: dim as u64,
-            max: u16::MAX as u64,
-        });
-    }
+    check_dim(dim)?;
     if count > u32::MAX as usize {
         return Err(WireError::Oversize {
             field: "reps",

@@ -188,9 +188,41 @@ impl Dataset {
     }
 }
 
+/// FNV-1a over the dataset's shape and exact coordinate bit patterns, as
+/// 16 hex digits. Two runs with equal checksums read exactly the same
+/// input: reports stamp it so benchmarks and fleet sites can be compared.
+pub fn dataset_checksum(data: &Dataset) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    eat(&(data.dim() as u64).to_le_bytes());
+    eat(&(data.len() as u64).to_le_bytes());
+    for p in data.iter() {
+        for &c in p {
+            eat(&c.to_bits().to_le_bytes());
+        }
+    }
+    format!("{h:016x}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checksum_is_input_sensitive() {
+        let a = Dataset::from_flat(2, vec![0.0, 1.0, 2.0, 3.0]);
+        let b = Dataset::from_flat(2, vec![0.0, 1.0, 2.0, 3.5]);
+        let c = Dataset::from_flat(1, vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(dataset_checksum(&a), dataset_checksum(&a));
+        assert_ne!(dataset_checksum(&a), dataset_checksum(&b));
+        assert_ne!(dataset_checksum(&a), dataset_checksum(&c));
+        assert_eq!(dataset_checksum(&a).len(), 16);
+    }
 
     fn sample() -> Dataset {
         Dataset::from_flat(2, vec![0.0, 0.0, 1.0, 1.0, 2.0, 4.0, -1.0, 3.0])

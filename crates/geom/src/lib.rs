@@ -23,7 +23,7 @@ pub mod svg;
 pub use clustering::{
     adjusted_rand_index, normalized_mutual_information, ClusterId, Clustering, Contingency, Label,
 };
-pub use dataset::Dataset;
+pub use dataset::{dataset_checksum, Dataset};
 pub use metric::{Chebyshev, Euclidean, Manhattan, Metric, Minkowski, SquaredEuclidean};
 pub use normalize::Scaler;
 pub use point::Point;

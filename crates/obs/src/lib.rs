@@ -53,8 +53,8 @@ pub use json::{Json, JsonError};
 pub use merge::merge_reports;
 pub use recorder::{NoopRecorder, Recorder, RecordingRecorder};
 pub use report::{
-    ClusterStats, DatasetInfo, EnvFingerprint, NetworkCost, QualityStats, RunReport, SiteStats,
-    TransferStats, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    env_fingerprint, ClusterStats, DatasetInfo, EnvFingerprint, NetworkCost, QualityStats,
+    RunReport, SiteStats, TransferStats, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
 pub use snapshot::{delta, SnapshotEngine, SnapshotIdentity, TelemetrySnapshot};
 pub use span::Span;

@@ -54,6 +54,31 @@ pub struct EnvFingerprint {
     pub dataset_checksum: String,
 }
 
+/// The producing environment: hardware parallelism, toolchain, git
+/// revision, and the given checksum of the input data. Fields that cannot
+/// be determined (no `rustc`/`git` on PATH, detached tree) hold
+/// `"unknown"` rather than failing the run.
+pub fn env_fingerprint(dataset_checksum: String) -> EnvFingerprint {
+    let run = |cmd: &str, args: &[&str]| -> Option<String> {
+        let out = std::process::Command::new(cmd).args(args).output().ok()?;
+        if !out.status.success() {
+            return None;
+        }
+        let s = String::from_utf8(out.stdout).ok()?;
+        let s = s.trim();
+        (!s.is_empty()).then(|| s.to_string())
+    };
+    EnvFingerprint {
+        nproc: std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1),
+        rustc: run("rustc", &["--version"]).unwrap_or_else(|| "unknown".into()),
+        git_rev: run("git", &["rev-parse", "--short=12", "HEAD"])
+            .unwrap_or_else(|| "unknown".into()),
+        dataset_checksum,
+    }
+}
+
 /// Size and dimensionality of the input dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatasetInfo {
@@ -840,6 +865,15 @@ fn req_duration(v: &Json, key: &str, what: &str) -> Result<Duration, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_always_fills_every_field() {
+        let env = env_fingerprint("abc".into());
+        assert!(env.nproc >= 1);
+        assert!(!env.rustc.is_empty());
+        assert!(!env.git_rev.is_empty());
+        assert_eq!(env.dataset_checksum, "abc");
+    }
 
     fn sample() -> RunReport {
         let mut root = Span::new("dbdc", Duration::from_micros(10_000));
