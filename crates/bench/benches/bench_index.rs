@@ -7,11 +7,11 @@
 //! ε-range queries, and a batch of knn queries, plus the environment
 //! fingerprint — diffable with `dbdc-cli report diff`.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbdc_bench::report::{dataset_checksum, env_fingerprint, wall_histogram, write_bench_json};
 use dbdc_datagen::scaled_a;
 use dbdc_geom::Euclidean;
-use dbdc_index::{build_index, IndexKind, NeighborIndex};
+use dbdc_index::{build_index, IndexKind};
 use dbdc_obs::{DatasetInfo, RunReport};
 use std::hint::black_box;
 
@@ -64,22 +64,6 @@ fn bench_knn(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-fn bench_rstar_dynamic_insert(c: &mut Criterion) {
-    let g = scaled_a(2_000, 7);
-    c.bench_function("rstar_dynamic_insert_2k", |b| {
-        b.iter_batched(
-            || dbdc_index::RStarTree::new(&g.data, Euclidean),
-            |mut tree| {
-                for i in 0..g.data.len() as u32 {
-                    tree.insert(i);
-                }
-                black_box(tree.len())
-            },
-            BatchSize::SmallInput,
-        );
-    });
 }
 
 /// Emits `BENCH_index.json`: per-backend wall histograms for build and
@@ -136,7 +120,6 @@ criterion_group!(
     bench_build,
     bench_range_query,
     bench_knn,
-    bench_rstar_dynamic_insert,
     write_run_report
 );
 criterion_main!(benches);

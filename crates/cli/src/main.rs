@@ -16,9 +16,9 @@ use dbdc::{
 use dbdc_cli::args::{Args, Form};
 use dbdc_cli::flags;
 use dbdc_cli::opts::{
-    build_params, dataset_info, eps_global_choice, finish_report, local_params, parse_link,
-    parse_partitioner, quality_stats, read_input, read_protocol_input, require_sites, wants_report,
-    CliResult, Command,
+    build_params, dataset_info, eps_global_choice, finish_report, finish_report_to, local_params,
+    parse_link, parse_partitioner, quality_stats, read_input, read_protocol_input, require_sites,
+    wants_report, CliResult, Command,
 };
 use dbdc_cli::{csv, netcmd, overview, run_form};
 use dbdc_geom::Dataset;
@@ -141,7 +141,11 @@ fn cmd_generate(args: &Args) -> CliResult {
         )
         .with_param("set", set)
         .with_param("seed", seed);
-        finish_report(args, &report)?;
+        if args.get("out").is_some() {
+            finish_report(args, &report)?;
+        } else {
+            finish_report_to(args, &report, std::io::stderr().lock())?;
+        }
     }
     Ok(())
 }

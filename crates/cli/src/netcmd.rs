@@ -306,7 +306,6 @@ pub fn cmd_site(args: &Args) -> CliResult {
 /// and CI can run the server/site fleet through an adversarial link
 /// without writing Rust.
 pub fn cmd_proxy(args: &Args) -> CliResult {
-    let upstream = resolve_addr(args)?;
     let plan = FaultPlan {
         seed: args.get_or("seed", 1u64)?,
         drop: args.get_or("drop", 0.0)?,
@@ -315,6 +314,32 @@ pub fn cmd_proxy(args: &Args) -> CliResult {
         truncate: args.get_or("truncate", 0.0)?,
         bitflip: args.get_or("bitflip", 0.0)?,
     };
+    // Each frame draws one fault from the four probabilities stacked
+    // into consecutive bands of one uniform draw, so each must lie in
+    // [0, 1] and together they may not exceed 1 (rounding aside).
+    let bands = [
+        ("--drop", plan.drop),
+        ("--truncate", plan.truncate),
+        ("--bitflip", plan.bitflip),
+        ("--delay-p", plan.delay_p),
+    ];
+    if let Some((flag, p)) = bands.iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
+        return Err(format!("{flag} must be a probability in [0, 1], got {p}").into());
+    }
+    let total: f64 = bands.iter().map(|(_, p)| p).sum();
+    if total > 1.0 + 1e-9 {
+        let given: Vec<&str> = bands
+            .iter()
+            .filter(|(_, p)| *p > 0.0)
+            .map(|b| b.0)
+            .collect();
+        return Err(format!(
+            "{} sum to {total}, above 1: each frame draws at most one fault",
+            given.join(" + ")
+        )
+        .into());
+    }
+    let upstream = resolve_addr(args)?;
     let wants = wants_report(args);
     let tel = Telemetry::new(args, "proxy", "proxy", "proxy".into());
     let t0 = Instant::now();

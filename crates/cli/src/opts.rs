@@ -8,7 +8,7 @@ use dbdc_cluster::dbcv::{dbcv_with, CorePath};
 use dbdc_geom::{Clustering, Dataset, Euclidean};
 use dbdc_obs::{DatasetInfo, QualityStats, Recorder, RunReport};
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 
 /// Past this many points the exact `O(nᵢ²)` core-distance sum gives way
 /// to the index-accelerated truncated path (still exact for clusters of
@@ -55,13 +55,19 @@ pub fn wants_report(args: &Args) -> bool {
 /// Emits an assembled report: `--trace` prints the rendered form,
 /// `--metrics-out FILE` writes the JSON.
 pub fn finish_report(args: &Args, report: &RunReport) -> CliResult {
+    finish_report_to(args, report, std::io::stdout().lock())
+}
+
+/// [`finish_report`], printing the trace and the `wrote FILE` note to
+/// `out` instead of stdout.
+pub fn finish_report_to(args: &Args, report: &RunReport, mut out: impl Write) -> CliResult {
     if args.switch("trace") {
-        print!("{}", report.render());
+        write!(out, "{}", report.render())?;
     }
     if let Some(path) = args.get("metrics-out") {
         std::fs::write(path, report.to_json_string())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        writeln!(out, "wrote {path}")?;
     }
     Ok(())
 }

@@ -288,6 +288,44 @@ fn bad_usage_exits_nonzero_with_message() {
     assert!(!svg.exists(), "a rejected plot wrote its SVG");
     let _ = std::fs::remove_file(&csv);
 
+    // Values the command cannot honour exit 1 with a message naming the
+    // flag or the field, never with a panic: fault probabilities outside
+    // [0, 1] or summing past 1 (the proxy stacks them into the bands of
+    // one draw), and a report histogram whose min exceeds its max.
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../obs/tests/golden/run_report.json"
+    );
+    let doctored = tmp("doctored_report.json");
+    let text = std::fs::read_to_string(golden).expect("golden report");
+    assert_eq!(text.matches("\"min\": 850,").count(), 1);
+    std::fs::write(&doctored, text.replace("\"min\": 850,", "\"min\": 39000,"))
+        .expect("doctored report written");
+    let doctored_in = doctored.to_str().unwrap();
+    let proxy = ["proxy", "--connect", "127.0.0.1:9"];
+    let unusable: Vec<(Vec<&str>, &str)> = vec![
+        ([&proxy[..], &["--drop", "1.5"]].concat(), "--drop"),
+        ([&proxy[..], &["--truncate", "-0.1"]].concat(), "--truncate"),
+        ([&proxy[..], &["--bitflip", "NaN"]].concat(), "--bitflip"),
+        ([&proxy[..], &["--delay-p", "inf"]].concat(), "--delay-p"),
+        (
+            [&proxy[..], &["--drop", "0.6", "--truncate", "0.6"]].concat(),
+            "--drop + --truncate",
+        ),
+        (
+            vec!["report", "--input", doctored_in],
+            "local[0]/eps_range_ns",
+        ),
+        (vec!["report", "diff", golden, doctored_in], "exceeds"),
+    ];
+    for (argv, needle) in unusable {
+        let out = bin().args(&argv).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        assert!(stderr.contains(needle), "{argv:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&doctored);
+
     // A CSV wider than the wire format's dim field fails before any
     // clustering on every command whose local models cross the wire,
     // while the central commands still take it.
@@ -400,7 +438,14 @@ fn every_form_answers_help_from_its_table() {
 
 #[test]
 fn generate_to_stdout_writes_only_csv_rows() {
-    for (extra, width) in [(&[][..], 2), (&["--truth"][..], 3)] {
+    let metrics = tmp("generate_metrics.json");
+    let metrics_out = ["--metrics-out", metrics.to_str().unwrap()];
+    for (extra, width) in [
+        (&[][..], 2),
+        (&["--truth"][..], 3),
+        (&["--trace"][..], 2),
+        (&metrics_out[..], 2),
+    ] {
         let out = bin()
             .args(["generate", "--set", "c", "--seed", "3"])
             .args(extra)
@@ -408,16 +453,31 @@ fn generate_to_stdout_writes_only_csv_rows() {
             .expect("binary runs");
         assert!(out.status.success(), "{out:?}");
         let stdout = String::from_utf8_lossy(&out.stdout);
-        let first = stdout.lines().next().expect("a first row");
-        let fields: Vec<f64> = first
-            .split(',')
-            .map(|f| f.parse().expect("a numeric field"))
-            .collect();
-        assert_eq!(fields.len(), width, "{first}");
-        // The status line goes to stderr instead.
+        assert_eq!(stdout.lines().count(), 1021, "{extra:?}");
+        for line in stdout.lines() {
+            // Coordinates, then with `--truth` a cluster id or "noise".
+            let fields: Vec<&str> = line.split(',').collect();
+            assert_eq!(fields.len(), width, "{extra:?}: {line}");
+            assert!(
+                fields[..2].iter().all(|f| f.parse::<f64>().is_ok())
+                    && fields[2..]
+                        .iter()
+                        .all(|f| f.parse::<u32>().is_ok() || *f == "noise"),
+                "{extra:?}: {line}"
+            );
+        }
+        // The status line, the trace and the `wrote` note go to stderr.
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("generated 1021 points"), "{stderr}");
+        if extra == ["--trace"] {
+            assert!(stderr.contains("generate report"), "{stderr}");
+        }
+        if extra == metrics_out {
+            assert!(stderr.contains("wrote"), "{stderr}");
+        }
     }
+    assert!(metrics.exists());
+    let _ = std::fs::remove_file(&metrics);
 }
 
 #[test]

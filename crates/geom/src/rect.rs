@@ -1,8 +1,7 @@
 //! Axis-aligned bounding rectangles.
 //!
-//! These are the workhorse of the R*-tree (node bounding boxes, the split
-//! heuristics' area/margin/overlap computations) and of the grid index
-//! (cell extents). They are dimension-generic.
+//! The bounding boxes of datasets and of the tree indexes' nodes (the
+//! R*-tree's leaves, the kd-tree's splits). They are dimension-generic.
 
 /// An axis-aligned, possibly degenerate, `d`-dimensional rectangle.
 ///
@@ -30,11 +29,6 @@ impl Rect {
             lo: lo.into_boxed_slice(),
             hi: hi.into_boxed_slice(),
         }
-    }
-
-    /// The degenerate rectangle covering exactly one point.
-    pub fn point(p: &[f64]) -> Self {
-        Self::new(p.to_vec(), p.to_vec())
     }
 
     /// The smallest rectangle containing every point yielded by `points`.
@@ -73,174 +67,14 @@ impl Rect {
     pub fn hi(&self) -> &[f64] {
         &self.hi
     }
-
-    /// Center point of the rectangle.
-    pub fn center(&self) -> Vec<f64> {
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .map(|(l, h)| 0.5 * (l + h))
-            .collect()
-    }
-
-    /// Hyper-volume (`prod(hi - lo)`); zero for degenerate rectangles.
-    pub fn area(&self) -> f64 {
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .map(|(l, h)| h - l)
-            .product()
-    }
-
-    /// Sum of edge lengths — the R*-tree split heuristic's "margin".
-    pub fn margin(&self) -> f64 {
-        self.lo.iter().zip(self.hi.iter()).map(|(l, h)| h - l).sum()
-    }
-
-    /// Whether `p` lies inside (or on the boundary of) the rectangle.
-    #[inline]
-    pub fn contains_point(&self, p: &[f64]) -> bool {
-        debug_assert_eq!(p.len(), self.dim());
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .zip(p.iter())
-            .all(|((l, h), c)| l <= c && c <= h)
-    }
-
-    /// Whether `other` is fully contained in `self`.
-    pub fn contains_rect(&self, other: &Rect) -> bool {
-        self.lo.iter().zip(other.lo.iter()).all(|(a, b)| a <= b)
-            && self.hi.iter().zip(other.hi.iter()).all(|(a, b)| a >= b)
-    }
-
-    /// Whether the two rectangles intersect (boundary contact counts).
-    #[inline]
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.lo
-            .iter()
-            .zip(self.hi.iter())
-            .zip(other.lo.iter().zip(other.hi.iter()))
-            .all(|((al, ah), (bl, bh))| al <= bh && bl <= ah)
-    }
-
-    /// Volume of the intersection of the two rectangles (0 if disjoint).
-    pub fn overlap(&self, other: &Rect) -> f64 {
-        let mut v = 1.0;
-        for i in 0..self.dim() {
-            let l = self.lo[i].max(other.lo[i]);
-            let h = self.hi[i].min(other.hi[i]);
-            if l >= h {
-                return 0.0;
-            }
-            v *= h - l;
-        }
-        v
-    }
-
-    /// The smallest rectangle containing both `self` and `other`.
-    pub fn union(&self, other: &Rect) -> Rect {
-        let lo = self
-            .lo
-            .iter()
-            .zip(other.lo.iter())
-            .map(|(a, b)| a.min(*b))
-            .collect();
-        let hi = self
-            .hi
-            .iter()
-            .zip(other.hi.iter())
-            .map(|(a, b)| a.max(*b))
-            .collect();
-        Rect::new(lo, hi)
-    }
-
-    /// Grows the rectangle in place to cover `p`.
-    pub fn expand_to_point(&mut self, p: &[f64]) {
-        for (i, &c) in p.iter().enumerate() {
-            if c < self.lo[i] {
-                self.lo[i] = c;
-            }
-            if c > self.hi[i] {
-                self.hi[i] = c;
-            }
-        }
-    }
-
-    /// Grows the rectangle in place to cover `other`.
-    pub fn expand_to_rect(&mut self, other: &Rect) {
-        for i in 0..self.dim() {
-            if other.lo[i] < self.lo[i] {
-                self.lo[i] = other.lo[i];
-            }
-            if other.hi[i] > self.hi[i] {
-                self.hi[i] = other.hi[i];
-            }
-        }
-    }
-
-    /// Increase in area needed to cover `other` — the R-tree insertion
-    /// heuristic's "area enlargement".
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
-    /// Minimum Euclidean distance from `p` to the rectangle (0 if inside).
-    pub fn min_dist(&self, p: &[f64]) -> f64 {
-        self.min_dist_sq(p).sqrt()
-    }
-
-    /// Squared minimum Euclidean distance from `p` to the rectangle.
-    pub fn min_dist_sq(&self, p: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (i, &c) in p.iter().enumerate() {
-            let d = if c < self.lo[i] {
-                self.lo[i] - c
-            } else if c > self.hi[i] {
-                c - self.hi[i]
-            } else {
-                0.0
-            };
-            acc += d * d;
-        }
-        acc
-    }
-
-    /// Squared distance from `p` to the farthest corner of the rectangle.
-    /// Used for pruning in nearest-neighbour searches.
-    pub fn max_dist_sq(&self, p: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (i, &c) in p.iter().enumerate() {
-            let d = (c - self.lo[i]).abs().max((c - self.hi[i]).abs());
-            acc += d * d;
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn r(lo: [f64; 2], hi: [f64; 2]) -> Rect {
         Rect::new(lo.to_vec(), hi.to_vec())
-    }
-
-    #[test]
-    fn area_margin_center() {
-        let a = r([0.0, 0.0], [2.0, 3.0]);
-        assert_eq!(a.area(), 6.0);
-        assert_eq!(a.margin(), 5.0);
-        assert_eq!(a.center(), vec![1.0, 1.5]);
-    }
-
-    #[test]
-    fn degenerate_point_rect() {
-        let p = Rect::point(&[1.0, -2.0]);
-        assert_eq!(p.area(), 0.0);
-        assert!(p.contains_point(&[1.0, -2.0]));
-        assert!(!p.contains_point(&[1.0, -2.1]));
     }
 
     #[test]
@@ -256,112 +90,10 @@ mod tests {
     }
 
     #[test]
-    fn intersection_and_overlap() {
-        let a = r([0.0, 0.0], [2.0, 2.0]);
-        let b = r([1.0, 1.0], [3.0, 3.0]);
-        let c = r([5.0, 5.0], [6.0, 6.0]);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
-        assert_eq!(a.overlap(&b), 1.0);
-        assert_eq!(a.overlap(&c), 0.0);
-        // Boundary contact intersects but has zero overlap volume.
-        let d = r([2.0, 0.0], [4.0, 2.0]);
-        assert!(a.intersects(&d));
-        assert_eq!(a.overlap(&d), 0.0);
-    }
-
-    #[test]
-    fn union_and_enlargement() {
-        let a = r([0.0, 0.0], [1.0, 1.0]);
-        let b = r([2.0, 2.0], [3.0, 3.0]);
-        let u = a.union(&b);
-        assert_eq!(u, r([0.0, 0.0], [3.0, 3.0]));
-        assert_eq!(a.enlargement(&b), 9.0 - 1.0);
-        assert_eq!(a.enlargement(&a), 0.0);
-    }
-
-    #[test]
-    fn containment() {
-        let a = r([0.0, 0.0], [4.0, 4.0]);
-        let b = r([1.0, 1.0], [2.0, 2.0]);
-        assert!(a.contains_rect(&b));
-        assert!(!b.contains_rect(&a));
-        assert!(a.contains_rect(&a));
-    }
-
-    #[test]
-    fn expansion() {
-        let mut a = r([0.0, 0.0], [1.0, 1.0]);
-        a.expand_to_point(&[-1.0, 2.0]);
-        assert_eq!(a, r([-1.0, 0.0], [1.0, 2.0]));
-        a.expand_to_rect(&r([0.0, -3.0], [5.0, 0.0]));
-        assert_eq!(a, r([-1.0, -3.0], [5.0, 2.0]));
-    }
-
-    #[test]
-    fn min_dist_inside_and_outside() {
-        let a = r([0.0, 0.0], [2.0, 2.0]);
-        assert_eq!(a.min_dist(&[1.0, 1.0]), 0.0);
-        assert_eq!(a.min_dist(&[5.0, 2.0]), 3.0);
-        assert_eq!(a.min_dist(&[5.0, 6.0]), 5.0);
-    }
-
-    #[test]
-    fn max_dist_from_center() {
-        let a = r([0.0, 0.0], [2.0, 2.0]);
-        assert_eq!(a.max_dist_sq(&[1.0, 1.0]), 2.0);
-        assert_eq!(a.max_dist_sq(&[0.0, 0.0]), 8.0);
-    }
-
-    #[test]
     fn bounding_of_points() {
         let pts: Vec<Vec<f64>> = vec![vec![1.0, 5.0], vec![-2.0, 0.0], vec![3.0, 2.0]];
         let b = Rect::bounding(pts.iter().map(|p| p.as_slice())).unwrap();
         assert_eq!(b, r([-2.0, 0.0], [3.0, 5.0]));
         assert!(Rect::bounding(std::iter::empty()).is_none());
-    }
-
-    fn arb_rect() -> impl Strategy<Value = Rect> {
-        (
-            prop::collection::vec(-100.0..100.0f64, 2),
-            prop::collection::vec(0.0..50.0f64, 2),
-        )
-            .prop_map(|(lo, ext)| {
-                let hi = lo.iter().zip(ext.iter()).map(|(l, e)| l + e).collect();
-                Rect::new(lo, hi)
-            })
-    }
-
-    proptest! {
-        #[test]
-        fn union_contains_both(a in arb_rect(), b in arb_rect()) {
-            let u = a.union(&b);
-            prop_assert!(u.contains_rect(&a));
-            prop_assert!(u.contains_rect(&b));
-        }
-
-        #[test]
-        fn overlap_symmetric_and_bounded(a in arb_rect(), b in arb_rect()) {
-            let ab = a.overlap(&b);
-            prop_assert!((ab - b.overlap(&a)).abs() < 1e-9);
-            prop_assert!(ab <= a.area() + 1e-9);
-            prop_assert!(ab <= b.area() + 1e-9);
-        }
-
-        #[test]
-        fn min_dist_zero_iff_contained(a in arb_rect(), p in prop::collection::vec(-150.0..150.0f64, 2)) {
-            let d = a.min_dist(&p);
-            if a.contains_point(&p) {
-                prop_assert_eq!(d, 0.0);
-            } else {
-                prop_assert!(d > 0.0);
-            }
-            prop_assert!(a.min_dist_sq(&p) <= a.max_dist_sq(&p) + 1e-9);
-        }
-
-        #[test]
-        fn enlargement_non_negative(a in arb_rect(), b in arb_rect()) {
-            prop_assert!(a.enlargement(&b) >= -1e-9);
-        }
     }
 }

@@ -6,6 +6,11 @@
 //! scan (the correctness oracle), a uniform grid, and a kd-tree, all behind
 //! the [`NeighborIndex`] trait so the clustering layer is index-agnostic.
 //!
+//! The vector indexes are static: each is built once over the data a site
+//! holds and never changed, which is all DBDC asks of them. The R*-tree is
+//! STR bulk-loaded straight into flat arenas; R*'s insertion heuristics
+//! shape only trees grown by insertion, which nothing here builds.
+//!
 //! All vector indexes borrow the [`Dataset`] they are built over and return
 //! point indices into it; they never copy coordinates. The metric-space
 //! index ([`MTree`]) owns its objects instead, since there is no flat
@@ -163,7 +168,8 @@ impl std::str::FromStr for IndexKind {
 /// Construction options for [`build_index_opts`].
 #[derive(Debug, Clone, Copy)]
 pub struct BuildOptions {
-    /// Worker threads for parallel arena construction (1 = sequential).
+    /// Worker threads for parallel arena construction of the kd-tree
+    /// and the grid (1 = sequential; the R*-tree always builds on one).
     /// Construction is **bit-identical** at every thread count — the
     /// subtree→node-id assignment is deterministic, so the flat arenas
     /// come out byte-for-byte the same regardless of parallelism.
@@ -250,7 +256,7 @@ pub fn build_index_opts<'a, M: Metric + Clone + 'a>(
             }
         }
         IndexKind::RStar => {
-            let idx = RStarTree::bulk_load_opts(data, m, opts.threads, opts.precision);
+            let idx = RStarTree::bulk_load_opts(data, m, opts.precision);
             match sheet {
                 Some(s) => Box::new(idx.observed(s.clone())),
                 None => Box::new(idx),

@@ -1,17 +1,20 @@
-//! R*-tree (Beckmann, Kriegel, Schneider, Seeger — SIGMOD 1990).
+//! R*-tree (Beckmann, Kriegel, Schneider, Seeger — SIGMOD 1990), built
+//! once by STR bulk loading and stored flat.
 //!
 //! This is the spatial access method the paper uses for DBSCAN's region
-//! queries (reference \[3\]). The implementation covers the full R*
-//! insertion algorithm — ChooseSubtree with minimum *overlap* enlargement at
-//! the leaf level, the topological split (choose split axis by minimum
-//! margin sum, choose distribution by minimum overlap), and forced
-//! reinsertion on first overflow per level — plus an STR (sort-tile-
-//! recursive) bulk loader used when the whole dataset is known up front,
-//! which is the common case in this workspace.
+//! queries (reference \[3\]). DBDC indexes the data a site holds when the
+//! run starts and never changes it, so the tree here is static: the STR
+//! (sort-tile-recursive) loader packs the points into leaves of at most
+//! 24 entries, tiles each level's boxes into the level above,
+//! and writes the levels straight into preorder arenas. R*'s insertion
+//! heuristics — ChooseSubtree by overlap enlargement, the margin-driven
+//! topological split, forced reinsertion — shape only trees grown by
+//! insertion, which nothing here builds, so they are not implemented.
 //!
-//! Leaf entries are point indices into the borrowed [`Dataset`]; inner
-//! entries own their child's bounding rectangle, so queries never touch
-//! coordinates except to verify leaf candidates.
+//! ε-range queries walk the arenas with an explicit stack, prune boxes
+//! in surrogate space, and scan each leaf as one batched
+//! [`Metric::surrogate_batch`] call over its SoA block. kNN queries run a
+//! best-first search over the same node boxes and points.
 
 use crate::linear::ordered::F64;
 use crate::{dist_to_box, scan_block, scan_block_f32, with_scratch, NeighborIndex, QueryWorkspace};
@@ -22,40 +25,16 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// Maximum entries per node.
-const MAX_ENTRIES: usize = 32;
-/// Minimum entries per node (40% of MAX, the R* recommendation).
-const MIN_ENTRIES: usize = 13;
-/// Number of entries evicted by forced reinsertion (30% of MAX).
-const REINSERT_COUNT: usize = 9;
-/// STR bulk-load fill factor.
+/// STR bulk-load fill factor: entries per leaf and per inner node.
 const STR_FILL: usize = 24;
 
-#[derive(Debug)]
-enum Node {
-    Leaf { points: Vec<u32> },
-    Inner { children: Vec<(Rect, Box<Node>)> },
-}
-
-impl Node {
-    fn len(&self) -> usize {
-        match self {
-            Node::Leaf { points } => points.len(),
-            Node::Inner { children } => children.len(),
-        }
-    }
-}
-
-/// Flattened query view of the tree: the whole structure in five
-/// contiguous `Vec`s, built once after [`RStarTree::bulk_load`] and
-/// walked by ε-range queries with an explicit stack. Leaf points are
-/// packed into traversal-ordered structure-of-arrays blocks so every
-/// leaf scan is one batched [`Metric::surrogate_batch`] call. Any
-/// mutation (`insert` / `delete`) drops the view; queries then fall
-/// back to the recursive `Box` tree until the next bulk load.
+/// The tree in five contiguous `Vec`s, walked by queries with an
+/// explicit stack. Leaf points are packed into traversal-ordered
+/// structure-of-arrays blocks so every leaf scan is one batched
+/// [`Metric::surrogate_batch`] call.
 #[derive(Debug)]
 struct FlatRStar {
-    /// Node pool in preorder; root at 0.
+    /// Node pool in preorder; root at 0 (empty iff the dataset is).
     nodes: Vec<FlatRNode>,
     /// Child node ids of the inner nodes, concatenated in child order.
     children: Vec<u32>,
@@ -65,7 +44,7 @@ struct FlatRStar {
     /// Leaf point ids in traversal order.
     ids: Vec<u32>,
     /// Per-leaf SoA coordinate blocks, same order as `ids`. Empty when
-    /// the view was narrowed to [`Precision::F32`].
+    /// the tree was narrowed to [`Precision::F32`].
     coords: Vec<f64>,
     /// `f32` twin of `coords`, populated instead of it under
     /// [`Precision::F32`].
@@ -91,142 +70,105 @@ enum FlatRNode {
     },
 }
 
-impl FlatRStar {
-    fn empty(dim: usize, n: usize) -> FlatRStar {
-        FlatRStar {
-            nodes: Vec::new(),
-            children: Vec::new(),
-            bounds: Vec::new(),
-            ids: Vec::with_capacity(n),
-            coords: Vec::with_capacity(n * dim),
-            coords32: Vec::new(),
-            precision: Precision::F64,
-            dim,
-        }
-    }
+/// One level of the tree under construction: each node's entries (point
+/// ids at the leaf level, node indices into the level below above it)
+/// and the nodes' bounding boxes, laid out as in [`FlatRStar::bounds`].
+#[derive(Default)]
+struct Level {
+    groups: Vec<Vec<u32>>,
+    boxes: Vec<f64>,
+}
 
-    /// Flattens the tree with up to `threads` construction workers,
-    /// fanning out over the root's children. Each worker flattens its
-    /// subtrees into private arenas which are then spliced back in
-    /// child order, so the result is bit-identical to the sequential
-    /// (`threads == 1`) flattening.
-    fn build<M: Metric>(tree: &RStarTree<'_, M>, threads: usize) -> Option<FlatRStar> {
-        let root = tree.root.as_deref()?;
-        let mut flat = FlatRStar::empty(tree.data.dim(), tree.n);
-        let root_rect = tree.node_rect(root);
-        let children = match root {
-            Node::Inner { children } if threads > 1 && children.len() > 1 => children,
-            _ => {
-                flat.add(tree.data, root, &root_rect);
-                return Some(flat);
-            }
-        };
-        flat.bounds.extend_from_slice(root_rect.lo());
-        flat.bounds.extend_from_slice(root_rect.hi());
-        flat.nodes.push(FlatRNode::Inner { start: 0, len: 0 });
-        let workers = threads.min(children.len());
-        let chunk = children.len().div_ceil(workers);
-        // Each worker flattens a contiguous run of root subtrees into
-        // fresh arenas; joining in spawn order restores child order.
-        let subs: Vec<FlatRStar> = std::thread::scope(|s| {
-            let handles: Vec<_> = children
-                .chunks(chunk)
-                .map(|run| {
-                    s.spawn(move || {
-                        run.iter()
-                            .map(|(r, c)| {
-                                let mut sub = FlatRStar::empty(tree.data.dim(), c.len());
-                                sub.add(tree.data, c, r);
-                                sub
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("r*-tree flatten worker panicked"))
-                .collect()
+impl Level {
+    /// The leaf level: `data`'s points tiled by STR, each leaf bounded
+    /// by its points.
+    fn leaves(data: &Dataset) -> Level {
+        let mut ids: Vec<u32> = (0..data.len() as u32).collect();
+        let mut level = Level::default();
+        str_tile(data, &mut ids, 0, &mut |chunk| {
+            let rect =
+                Rect::bounding(chunk.iter().map(|&i| data.point(i))).expect("chunk is non-empty");
+            level.boxes.extend_from_slice(rect.lo());
+            level.boxes.extend_from_slice(rect.hi());
+            level.groups.push(chunk.to_vec());
         });
-        let kid_ids: Vec<u32> = subs.into_iter().map(|sub| flat.splice(sub)).collect();
-        // The root's child list lands after every subtree's own
-        // children entries, exactly as the sequential `add` appends it.
-        let start = flat.children.len() as u32;
-        flat.children.extend_from_slice(&kid_ids);
-        flat.nodes[0] = FlatRNode::Inner {
-            start,
-            len: kid_ids.len() as u32,
-        };
-        Some(flat)
+        level
     }
 
-    /// Appends `sub`'s arenas to `self`, rebasing every intra-arena
-    /// offset, and returns the new node id of `sub`'s root. A subtree
-    /// occupies one contiguous run of every arena in the sequential
-    /// flattening, so splicing a privately built subtree reproduces the
-    /// in-place layout exactly.
-    fn splice(&mut self, sub: FlatRStar) -> u32 {
-        let node_base = self.nodes.len() as u32;
-        let children_base = self.children.len() as u32;
-        let ids_base = self.ids.len() as u32;
-        let coords_base = self.coords.len() as u32;
-        for n in sub.nodes {
-            self.nodes.push(match n {
-                FlatRNode::Leaf { start, len, coords } => FlatRNode::Leaf {
-                    start: start + ids_base,
-                    len,
-                    coords: coords + coords_base,
-                },
-                FlatRNode::Inner { start, len } => FlatRNode::Inner {
-                    start: start + children_base,
-                    len,
-                },
-            });
-        }
-        self.children
-            .extend(sub.children.iter().map(|&c| c + node_base));
-        self.bounds.extend_from_slice(&sub.bounds);
-        self.ids.extend_from_slice(&sub.ids);
-        self.coords.extend_from_slice(&sub.coords);
-        node_base
-    }
-
-    /// Appends `node` (bounded by `rect`) and its subtree, children in
-    /// their original order so traversal order — and with it the
-    /// neighbor output order — matches the recursive path exactly.
-    fn add(&mut self, data: &Dataset, node: &Node, rect: &Rect) -> u32 {
-        let me = self.nodes.len() as u32;
-        self.bounds.extend_from_slice(rect.lo());
-        self.bounds.extend_from_slice(rect.hi());
-        match node {
-            Node::Leaf { points } => {
-                let start = self.ids.len() as u32;
-                let coords = self.coords.len() as u32;
-                self.ids.extend_from_slice(points);
-                for d in 0..self.dim {
-                    for &i in points {
-                        self.coords.push(data.point(i)[d]);
-                    }
+    /// The level above this one: its nodes tiled by STR on their box
+    /// centres, each parent bounded by the union of its children's boxes.
+    fn parents(&self, dim: usize) -> Level {
+        let stride = 2 * dim;
+        let centers: Vec<f64> = self
+            .boxes
+            .chunks_exact(stride)
+            // Halving first keeps the sum finite near ±f64::MAX. Halving a
+            // normal number is exact, so above the subnormal range this is
+            // `0.5 * (lo + hi)` bit for bit.
+            .flat_map(|b| (0..dim).map(move |d| 0.5 * b[d] + 0.5 * b[dim + d]))
+            .collect();
+        let centers = Dataset::from_flat(dim, centers);
+        let mut order: Vec<u32> = (0..self.groups.len() as u32).collect();
+        let mut level = Level::default();
+        str_tile(&centers, &mut order, 0, &mut |chunk| {
+            let at = level.boxes.len();
+            let first = chunk[0] as usize * stride;
+            level
+                .boxes
+                .extend_from_slice(&self.boxes[first..first + stride]);
+            let (lo, hi) = level.boxes[at..].split_at_mut(dim);
+            for &c in &chunk[1..] {
+                let b = &self.boxes[c as usize * stride..];
+                for d in 0..dim {
+                    lo[d] = lo[d].min(b[d]);
+                    hi[d] = hi[d].max(b[dim + d]);
                 }
-                self.nodes.push(FlatRNode::Leaf {
-                    start,
-                    len: points.len() as u32,
-                    coords,
-                });
             }
-            Node::Inner { children } => {
-                // Reserve the parent slot, append the subtrees, then
-                // patch the child range in.
-                self.nodes.push(FlatRNode::Inner { start: 0, len: 0 });
-                let kid_ids: Vec<u32> =
-                    children.iter().map(|(r, c)| self.add(data, c, r)).collect();
-                let start = self.children.len() as u32;
-                self.children.extend_from_slice(&kid_ids);
-                self.nodes[me as usize] = FlatRNode::Inner {
-                    start,
-                    len: kid_ids.len() as u32,
-                };
+            level.groups.push(chunk.to_vec());
+        });
+        level
+    }
+}
+
+impl FlatRStar {
+    /// Appends node `node` of `levels[level]` and its subtree in
+    /// preorder: the node's box, then each child's subtree in child
+    /// order, then the node's own child list. Returns the node's id.
+    fn add(&mut self, data: &Dataset, levels: &[Level], level: usize, node: usize) -> u32 {
+        let me = self.nodes.len() as u32;
+        let Level { groups, boxes } = &levels[level];
+        let stride = 2 * self.dim;
+        self.bounds
+            .extend_from_slice(&boxes[node * stride..(node + 1) * stride]);
+        let entries = &groups[node];
+        if level == 0 {
+            let start = self.ids.len() as u32;
+            let coords = self.coords.len() as u32;
+            self.ids.extend_from_slice(entries);
+            for d in 0..self.dim {
+                for &i in entries {
+                    self.coords.push(data.point(i)[d]);
+                }
             }
+            self.nodes.push(FlatRNode::Leaf {
+                start,
+                len: entries.len() as u32,
+                coords,
+            });
+        } else {
+            // Reserve the parent slot, append the subtrees, then patch
+            // the child range in.
+            self.nodes.push(FlatRNode::Inner { start: 0, len: 0 });
+            let kid_ids: Vec<u32> = entries
+                .iter()
+                .map(|&c| self.add(data, levels, level - 1, c as usize))
+                .collect();
+            let start = self.children.len() as u32;
+            self.children.extend_from_slice(&kid_ids);
+            self.nodes[me as usize] = FlatRNode::Inner {
+                start,
+                len: kid_ids.len() as u32,
+            };
         }
         me
     }
@@ -240,37 +182,16 @@ impl FlatRStar {
     }
 }
 
-/// An R*-tree over a borrowed dataset.
+/// A static R*-tree over a borrowed dataset.
 #[derive(Debug)]
 pub struct RStarTree<'a, M> {
     data: &'a Dataset,
     metric: M,
-    root: Option<Box<Node>>,
-    /// Flattened query view; present iff the tree was bulk-loaded and
-    /// not mutated since.
-    flat: Option<FlatRStar>,
-    /// Height of the tree: 1 = root is a leaf.
-    height: usize,
-    n: usize,
+    flat: FlatRStar,
     sheet: Option<Arc<CounterSheet>>,
 }
 
 impl<'a, M: Metric> RStarTree<'a, M> {
-    /// Creates an empty tree over `data`'s coordinate space; points must
-    /// then be added with [`RStarTree::insert`]. Useful for testing the
-    /// dynamic insertion path; most callers want [`RStarTree::bulk_load`].
-    pub fn new(data: &'a Dataset, metric: M) -> Self {
-        Self {
-            data,
-            metric,
-            root: None,
-            flat: None,
-            height: 0,
-            n: 0,
-            sheet: None,
-        }
-    }
-
     /// Attaches a counter sheet recording per-query work.
     pub fn observed(mut self, sheet: Arc<CounterSheet>) -> Self {
         self.sheet = Some(sheet);
@@ -279,108 +200,53 @@ impl<'a, M: Metric> RStarTree<'a, M> {
 
     /// Bulk-loads all points of `data` with the STR algorithm.
     pub fn bulk_load(data: &'a Dataset, metric: M) -> Self {
-        Self::bulk_load_opts(data, metric, 1, Precision::F64)
+        Self::bulk_load_opts(data, metric, Precision::F64)
     }
 
-    /// [`RStarTree::bulk_load`] with `threads` construction workers.
-    pub fn bulk_load_threaded(data: &'a Dataset, metric: M, threads: usize) -> Self {
-        Self::bulk_load_opts(data, metric, threads, Precision::F64)
-    }
-
-    /// Bulk-loads with `threads` construction workers and the given
-    /// scan-path precision. The STR tiling itself stays sequential (it
-    /// is a cheap series of selects); the expensive flatten fans out
-    /// over the root's children and is bit-identical across thread
-    /// counts. Under [`Precision::F32`] the flattened leaf blocks are
-    /// narrowed after the fully-`f64` build; the recursive fallback
-    /// used after `insert`/`delete` always stays `f64`.
-    pub fn bulk_load_opts(
-        data: &'a Dataset,
-        metric: M,
-        threads: usize,
-        precision: Precision,
-    ) -> Self {
-        let mut tree = Self::new(data, metric);
-        if data.is_empty() {
-            return tree;
-        }
-        let mut ids: Vec<u32> = (0..data.len() as u32).collect();
-        // Pack points into leaves.
-        let mut leaves: Vec<(Rect, Box<Node>)> = Vec::new();
-        str_tile(data, &mut ids, 0, &mut |chunk| {
-            let rect =
-                Rect::bounding(chunk.iter().map(|&i| data.point(i))).expect("chunk is non-empty");
-            leaves.push((
-                rect,
-                Box::new(Node::Leaf {
-                    points: chunk.to_vec(),
-                }),
-            ));
-        });
-        tree.height = 1;
-        // Pack levels upward until a single root remains.
-        let mut level = leaves;
-        while level.len() > 1 {
-            let mut rects: Vec<(Rect, Box<Node>)> = Vec::new();
-            std::mem::swap(&mut level, &mut rects);
-            let mut order: Vec<u32> = (0..rects.len() as u32).collect();
-            // Tile inner nodes by child-rect centers.
-            let centers: Vec<Vec<f64>> = rects.iter().map(|(r, _)| r.center()).collect();
-            let center_data = {
-                let dim = data.dim();
-                let mut flat = Vec::with_capacity(centers.len() * dim);
-                for c in &centers {
-                    flat.extend_from_slice(c);
-                }
-                Dataset::from_flat(dim, flat)
-            };
-            let mut groups: Vec<Vec<u32>> = Vec::new();
-            str_tile(&center_data, &mut order, 0, &mut |chunk| {
-                groups.push(chunk.to_vec());
-            });
-            // Move children into their groups (descending index extraction
-            // would invalidate positions, so mark with Option).
-            let mut slots: Vec<Option<(Rect, Box<Node>)>> = rects.into_iter().map(Some).collect();
-            for g in groups {
-                let children: Vec<(Rect, Box<Node>)> = g
-                    .iter()
-                    .map(|&i| slots[i as usize].take().expect("group ids unique"))
-                    .collect();
-                let rect = children
-                    .iter()
-                    .map(|(r, _)| r)
-                    .fold(None::<Rect>, |acc, r| {
-                        Some(acc.map_or_else(|| r.clone(), |a| a.union(r)))
-                    })
-                    .expect("group is non-empty");
-                level.push((rect, Box::new(Node::Inner { children })));
+    /// Bulk-loads with the given scan-path precision. STR tiles the
+    /// points into leaves, then tiles each level's box centres into the
+    /// level above until one root remains; the levels are written into
+    /// the arenas from the root down. Under [`Precision::F32`] the leaf
+    /// blocks are narrowed after the fully-`f64` build, so structure,
+    /// bounds and id order equal the `f64` tree's.
+    pub fn bulk_load_opts(data: &'a Dataset, metric: M, precision: Precision) -> Self {
+        let dim = data.dim();
+        let mut flat = FlatRStar {
+            nodes: Vec::new(),
+            children: Vec::new(),
+            bounds: Vec::new(),
+            ids: Vec::with_capacity(data.len()),
+            coords: Vec::with_capacity(data.len() * dim),
+            coords32: Vec::new(),
+            precision,
+            dim,
+        };
+        if !data.is_empty() {
+            let mut levels = vec![Level::leaves(data)];
+            while let Some(below) = levels.last().filter(|l| l.groups.len() > 1) {
+                let up = below.parents(dim);
+                levels.push(up);
             }
-            tree.height += 1;
+            flat.add(data, &levels, levels.len() - 1, 0);
         }
-        let (_, root) = level.pop().expect("at least one node");
-        tree.root = Some(root);
-        tree.n = data.len();
-        tree.flat = FlatRStar::build(&tree, threads.max(1));
         if precision == Precision::F32 {
-            if let Some(flat) = &mut tree.flat {
-                flat.coords32 = flat.coords.iter().map(|&x| x as f32).collect();
-                flat.coords = Vec::new();
-                flat.precision = Precision::F32;
-            }
+            flat.coords32 = flat.coords.iter().map(|&x| x as f32).collect();
+            flat.coords = Vec::new();
         }
-        tree
+        Self {
+            data,
+            metric,
+            flat,
+            sheet: None,
+        }
     }
 
-    /// Serializes the flattened arenas to a stable bit pattern (empty
-    /// when no flat view exists). Test hook for the construction-
-    /// identity gate: parallel flattening must be byte-for-byte equal
-    /// to sequential.
+    /// Serializes the arenas to a stable bit pattern (empty for an
+    /// empty dataset). Test hook pinning the build's exact layout.
     #[doc(hidden)]
     pub fn arena_bits(&self) -> Vec<u64> {
+        let flat = &self.flat;
         let mut v = Vec::new();
-        let Some(flat) = &self.flat else {
-            return v;
-        };
         for n in &flat.nodes {
             match *n {
                 FlatRNode::Leaf { start, len, coords } => {
@@ -398,667 +264,6 @@ impl<'a, M: Metric> RStarTree<'a, M> {
         v.extend(flat.coords32.iter().map(|c| c.to_bits() as u64));
         v
     }
-
-    /// Inserts point `id` (an index into the dataset) using the full R*
-    /// insertion algorithm with forced reinsertion.
-    pub fn insert(&mut self, id: u32) {
-        assert!((id as usize) < self.data.len(), "point id out of bounds");
-        // Mutation invalidates the flattened query view.
-        self.flat = None;
-        self.n += 1;
-        match self.root {
-            None => {
-                self.root = Some(Box::new(Node::Leaf { points: vec![id] }));
-                self.height = 1;
-            }
-            Some(_) => {
-                // `reinserted[l]` = forced reinsertion already used at level
-                // l during this top-level insertion (levels counted from the
-                // leaves, 0 = leaf). Evicted entries are queued in `pending`
-                // and reinserted once the tree is consistent again.
-                let mut reinserted = vec![false; self.height];
-                let mut pending: Vec<(InsertItem, usize)> = Vec::new();
-                self.insert_at_level(InsertItem::Point(id), 0, &mut reinserted, &mut pending);
-                while let Some((item, level)) = pending.pop() {
-                    self.insert_at_level(item, level, &mut reinserted, &mut pending);
-                }
-            }
-        }
-    }
-
-    /// Removes point `id` from the tree (the classic R-tree delete with
-    /// CondenseTree: underfull nodes along the path are dissolved and their
-    /// entries reinserted at their original level). Returns whether the
-    /// point was found.
-    pub fn delete(&mut self, id: u32) -> bool {
-        // Mutation invalidates the flattened query view.
-        self.flat = None;
-        let Some(root) = self.root.take() else {
-            return false;
-        };
-        let root_level = self.height - 1;
-        let target = self.point_rect(id);
-        let mut orphans: Vec<(InsertItem, usize)> = Vec::new();
-        let (root, found) = self.delete_rec(root, root_level, id, &target, &mut orphans);
-        let mut root = match root {
-            Some(r) => r,
-            None => {
-                // The tree emptied out (possibly with orphans pending).
-                self.height = 0;
-                self.root = None;
-                if orphans.is_empty() {
-                    if found {
-                        self.n -= 1;
-                    }
-                    return found;
-                }
-                // Rebuild from the orphans: seed with any single point.
-                Box::new(Node::Leaf { points: vec![] })
-            }
-        };
-        // Shrink the root while it is a chain of single-child inner nodes.
-        loop {
-            let shrink = match &*root {
-                Node::Inner { children } if children.len() == 1 => true,
-                Node::Leaf { .. } | Node::Inner { .. } => false,
-            };
-            if !shrink {
-                break;
-            }
-            let Node::Inner { mut children } = *root else {
-                unreachable!()
-            };
-            let (_, child) = children.pop().expect("one child");
-            root = child;
-            self.height -= 1;
-        }
-        // Handle the rebuilt-empty-root case.
-        if root.len() == 0 {
-            self.root = None;
-            self.height = 0;
-        } else {
-            self.root = Some(root);
-        }
-        // Reinsert orphaned entries. Subtrees whose level no longer exists
-        // (tree shrank) are decomposed into their children recursively.
-        let mut reinserted = vec![true; self.height.max(1)];
-        let mut pending = orphans;
-        while let Some((item, level)) = pending.pop() {
-            match item {
-                InsertItem::Point(p) => {
-                    if self.root.is_none() {
-                        self.root = Some(Box::new(Node::Leaf { points: vec![p] }));
-                        self.height = 1;
-                        reinserted = vec![true];
-                    } else {
-                        while reinserted.len() < self.height {
-                            reinserted.push(true);
-                        }
-                        self.insert_at_level(
-                            InsertItem::Point(p),
-                            0,
-                            &mut reinserted,
-                            &mut pending,
-                        );
-                    }
-                }
-                InsertItem::Subtree { rect, node } => {
-                    if level + 1 >= self.height || self.root.is_none() {
-                        // Cannot hang this subtree at its level; decompose.
-                        match *node {
-                            Node::Leaf { points } => {
-                                for p in points {
-                                    pending.push((InsertItem::Point(p), 0));
-                                }
-                            }
-                            Node::Inner { children } => {
-                                for (r, c) in children {
-                                    pending.push((
-                                        InsertItem::Subtree { rect: r, node: c },
-                                        level - 1,
-                                    ));
-                                }
-                            }
-                        }
-                        let _ = rect;
-                    } else {
-                        while reinserted.len() < self.height {
-                            reinserted.push(true);
-                        }
-                        self.insert_at_level(
-                            InsertItem::Subtree { rect, node },
-                            level,
-                            &mut reinserted,
-                            &mut pending,
-                        );
-                    }
-                }
-            }
-        }
-        if found {
-            self.n -= 1;
-        }
-        found
-    }
-
-    /// Recursive delete. Returns the (possibly dissolved) node and whether
-    /// the point was removed in this subtree.
-    fn delete_rec(
-        &self,
-        mut node: Box<Node>,
-        level: usize,
-        id: u32,
-        target: &Rect,
-        orphans: &mut Vec<(InsertItem, usize)>,
-    ) -> (Option<Box<Node>>, bool) {
-        match &mut *node {
-            Node::Leaf { points } => {
-                let before = points.len();
-                points.retain(|&p| p != id);
-                let found = points.len() < before;
-                if points.is_empty() {
-                    (None, found)
-                } else {
-                    (Some(node), found)
-                }
-            }
-            Node::Inner { children } => {
-                let mut found = false;
-                let mut slots: Vec<Option<(Rect, Box<Node>)>> =
-                    children.drain(..).map(Some).collect();
-                for slot in slots.iter_mut() {
-                    if found {
-                        break;
-                    }
-                    let covers = slot
-                        .as_ref()
-                        .map(|(r, _)| r.contains_rect(target))
-                        .unwrap_or(false);
-                    if !covers {
-                        continue;
-                    }
-                    let (_, child) = slot.take().expect("slot filled");
-                    let (child, f) = self.delete_rec(child, level - 1, id, target, orphans);
-                    found = f;
-                    if let Some(c) = child {
-                        // R-tree CondenseTree uses the insertion minimum;
-                        // here a small floor (2) keeps the tree valid while
-                        // avoiding cascading dissolution storms.
-                        let min_fill = 2;
-                        if f && c.len() < min_fill {
-                            // Underfull: dissolve into orphans.
-                            match *c {
-                                Node::Leaf { points } => {
-                                    for p in points {
-                                        orphans.push((InsertItem::Point(p), 0));
-                                    }
-                                }
-                                Node::Inner { children } => {
-                                    // The dissolved child sat at level-1, so
-                                    // its entries (subtrees rooted at
-                                    // level-2) re-hang at level-1.
-                                    for (r, n) in children {
-                                        orphans.push((
-                                            InsertItem::Subtree { rect: r, node: n },
-                                            level - 1,
-                                        ));
-                                    }
-                                }
-                            }
-                        } else {
-                            *slot = Some((self.node_rect(&c), c));
-                        }
-                    }
-                }
-                children.extend(slots.into_iter().flatten());
-                if children.is_empty() {
-                    (None, found)
-                } else {
-                    (Some(node), found)
-                }
-            }
-        }
-    }
-
-    fn point_rect(&self, id: u32) -> Rect {
-        Rect::point(self.data.point(id))
-    }
-
-    fn item_rect(&self, item: &InsertItem) -> Rect {
-        match item {
-            InsertItem::Point(id) => self.point_rect(*id),
-            InsertItem::Subtree { rect, .. } => rect.clone(),
-        }
-    }
-
-    fn insert_at_level(
-        &mut self,
-        item: InsertItem,
-        level: usize,
-        reinserted: &mut Vec<bool>,
-        pending: &mut Vec<(InsertItem, usize)>,
-    ) {
-        let rect = self.item_rect(&item);
-        let root = self.root.take().expect("insert_at_level requires a root");
-        let root_level = self.height - 1;
-        let (root, split) =
-            self.insert_rec(root, root_level, item, &rect, level, reinserted, pending);
-        if let Some((r1, n1, r2, n2)) = split {
-            // Root split: grow the tree.
-            let _ = root; // consumed by the split
-            self.root = Some(Box::new(Node::Inner {
-                children: vec![(r1, n1), (r2, n2)],
-            }));
-            self.height += 1;
-            reinserted.push(true); // new root level cannot reinsert
-        } else {
-            self.root = Some(root);
-        }
-    }
-
-    /// Recursive insertion. Returns the (possibly modified) node and, if the
-    /// node was split, the two replacement halves (in which case the
-    /// returned node must be discarded by the caller).
-    #[allow(clippy::type_complexity)]
-    #[allow(clippy::too_many_arguments)]
-    fn insert_rec(
-        &mut self,
-        mut node: Box<Node>,
-        node_level: usize,
-        item: InsertItem,
-        rect: &Rect,
-        target_level: usize,
-        reinserted: &mut [bool],
-        pending: &mut Vec<(InsertItem, usize)>,
-    ) -> (Box<Node>, Option<(Rect, Box<Node>, Rect, Box<Node>)>) {
-        if node_level == target_level {
-            match (&mut *node, item) {
-                (Node::Leaf { points }, InsertItem::Point(id)) => points.push(id),
-                (Node::Inner { children }, InsertItem::Subtree { rect, node }) => {
-                    children.push((rect, node))
-                }
-                _ => unreachable!("item kind matches node kind at its level"),
-            }
-        } else {
-            let Node::Inner { children } = &mut *node else {
-                unreachable!("non-target levels are inner nodes")
-            };
-            let child_idx = choose_subtree(self.data, children, rect, node_level == 1);
-            let (child_rect, child_node) = children.swap_remove(child_idx);
-            let _ = child_rect;
-            let (child_node, split) = self.insert_rec(
-                child_node,
-                node_level - 1,
-                item,
-                rect,
-                target_level,
-                reinserted,
-                pending,
-            );
-            match split {
-                None => {
-                    let new_rect = self.node_rect(&child_node);
-                    children.push((new_rect, child_node));
-                }
-                Some((r1, n1, r2, n2)) => {
-                    drop(child_node);
-                    children.push((r1, n1));
-                    children.push((r2, n2));
-                }
-            }
-        }
-
-        if node.len() > MAX_ENTRIES {
-            self.overflow(node, node_level, reinserted, pending)
-        } else {
-            (node, None)
-        }
-    }
-
-    /// R* OverflowTreatment: forced reinsert on the first overflow at a
-    /// non-root level, split otherwise.
-    #[allow(clippy::type_complexity)]
-    fn overflow(
-        &mut self,
-        node: Box<Node>,
-        level: usize,
-        reinserted: &mut [bool],
-        pending: &mut Vec<(InsertItem, usize)>,
-    ) -> (Box<Node>, Option<(Rect, Box<Node>, Rect, Box<Node>)>) {
-        let is_root_level = level == self.height - 1;
-        if !is_root_level && !reinserted[level] {
-            reinserted[level] = true;
-            let node = self.forced_reinsert(node, level, pending);
-            (node, None)
-        } else {
-            let (r1, n1, r2, n2) = self.split_node(*node);
-            // Callers replace the node with the two halves; hand back a
-            // dummy leaf that is immediately discarded.
-            (
-                Box::new(Node::Leaf { points: vec![] }),
-                Some((r1, n1, r2, n2)),
-            )
-        }
-    }
-
-    /// Removes the `REINSERT_COUNT` entries whose centers are farthest from
-    /// the node's bbox center and queues them for reinsertion ("close
-    /// reinsert": the queue is drained nearest-first), possibly landing them
-    /// in different nodes.
-    fn forced_reinsert(
-        &mut self,
-        mut node: Box<Node>,
-        level: usize,
-        pending: &mut Vec<(InsertItem, usize)>,
-    ) -> Box<Node> {
-        let center = self.node_rect(&node).center();
-        let evicted: Vec<InsertItem> = match &mut *node {
-            Node::Leaf { points } => {
-                let mut by_dist: Vec<(F64, usize)> = points
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &id)| (F64(self.metric.dist(&center, self.data.point(id))), i))
-                    .collect();
-                by_dist.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
-                let mut evict_pos: Vec<usize> = by_dist
-                    .iter()
-                    .take(REINSERT_COUNT)
-                    .map(|&(_, i)| i)
-                    .collect();
-                evict_pos.sort_unstable_by(|a, b| b.cmp(a));
-                evict_pos
-                    .into_iter()
-                    .map(|i| InsertItem::Point(points.swap_remove(i)))
-                    .collect()
-            }
-            Node::Inner { children } => {
-                let mut by_dist: Vec<(F64, usize)> = children
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (r, _))| (F64(self.metric.dist(&center, &r.center())), i))
-                    .collect();
-                by_dist.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
-                let mut evict_pos: Vec<usize> = by_dist
-                    .iter()
-                    .take(REINSERT_COUNT)
-                    .map(|&(_, i)| i)
-                    .collect();
-                evict_pos.sort_unstable_by(|a, b| b.cmp(a));
-                evict_pos
-                    .into_iter()
-                    .map(|i| {
-                        let (rect, child) = children.swap_remove(i);
-                        InsertItem::Subtree { rect, node: child }
-                    })
-                    .collect()
-            }
-        };
-        // Close reinsert: the pending queue is drained with pop() (LIFO), so
-        // sorting farthest-first makes the nearest entry re-enter first.
-        let mut evicted: Vec<(F64, InsertItem)> = evicted
-            .into_iter()
-            .map(|it| {
-                let c = self.item_rect(&it).center();
-                (F64(self.metric.dist(&center, &c)), it)
-            })
-            .collect();
-        evicted.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
-        // Reinsertion must not run while this node is detached from the tree
-        // (the caller's stack still owns it), so the evicted entries are
-        // queued and re-inserted by the top-level `insert` once the descent
-        // has unwound and the tree is consistent.
-        pending.extend(evicted.into_iter().map(|(d, it)| {
-            let _ = d;
-            (it, level)
-        }));
-        node
-    }
-
-    fn node_rect(&self, node: &Node) -> Rect {
-        match node {
-            Node::Leaf { points } => Rect::bounding(points.iter().map(|&i| self.data.point(i)))
-                .expect("nodes are non-empty"),
-            Node::Inner { children } => children
-                .iter()
-                .map(|(r, _)| r)
-                .fold(None::<Rect>, |acc, r| {
-                    Some(acc.map_or_else(|| r.clone(), |a| a.union(r)))
-                })
-                .expect("nodes are non-empty"),
-        }
-    }
-
-    /// R* topological split. Consumes the overflowing node and returns the
-    /// two halves with their rectangles.
-    fn split_node(&self, node: Node) -> (Rect, Box<Node>, Rect, Box<Node>) {
-        match node {
-            Node::Leaf { points } => {
-                let rects: Vec<Rect> = points.iter().map(|&i| self.point_rect(i)).collect();
-                let (first, second) = split_entries(&rects);
-                let a: Vec<u32> = first.iter().map(|&i| points[i]).collect();
-                let b: Vec<u32> = second.iter().map(|&i| points[i]).collect();
-                let ra = Rect::bounding(a.iter().map(|&i| self.data.point(i))).unwrap();
-                let rb = Rect::bounding(b.iter().map(|&i| self.data.point(i))).unwrap();
-                (
-                    ra,
-                    Box::new(Node::Leaf { points: a }),
-                    rb,
-                    Box::new(Node::Leaf { points: b }),
-                )
-            }
-            Node::Inner { children } => {
-                let rects: Vec<Rect> = children.iter().map(|(r, _)| r.clone()).collect();
-                let (first, second) = split_entries(&rects);
-                let mut slots: Vec<Option<(Rect, Box<Node>)>> =
-                    children.into_iter().map(Some).collect();
-                let take = |idxs: &[usize], slots: &mut Vec<Option<(Rect, Box<Node>)>>| {
-                    idxs.iter()
-                        .map(|&i| slots[i].take().expect("split indices unique"))
-                        .collect::<Vec<_>>()
-                };
-                let a = take(&first, &mut slots);
-                let b = take(&second, &mut slots);
-                let rect_of = |v: &[(Rect, Box<Node>)]| {
-                    v.iter()
-                        .map(|(r, _)| r)
-                        .fold(None::<Rect>, |acc, r| {
-                            Some(acc.map_or_else(|| r.clone(), |x| x.union(r)))
-                        })
-                        .unwrap()
-                };
-                let (ra, rb) = (rect_of(&a), rect_of(&b));
-                (
-                    ra,
-                    Box::new(Node::Inner { children: a }),
-                    rb,
-                    Box::new(Node::Inner { children: b }),
-                )
-            }
-        }
-    }
-
-    /// Validates tree invariants (entry counts, bbox containment, height);
-    /// test/diagnostic helper. Returns the number of points found.
-    pub fn validate(&self) -> usize {
-        fn walk<M: Metric>(
-            tree: &RStarTree<'_, M>,
-            node: &Node,
-            rect: Option<&Rect>,
-            level: usize,
-            is_root: bool,
-        ) -> usize {
-            if !is_root {
-                assert!(
-                    node.len() >= MIN_ENTRIES.min(2) || node.len() >= 1,
-                    "underfull node"
-                );
-            }
-            assert!(node.len() <= MAX_ENTRIES, "overfull node: {}", node.len());
-            match node {
-                Node::Leaf { points } => {
-                    assert_eq!(level, 0, "leaves must be at level 0");
-                    if let Some(r) = rect {
-                        for &p in points {
-                            assert!(
-                                r.contains_point(tree.data.point(p)),
-                                "leaf bbox does not contain point {p}"
-                            );
-                        }
-                    }
-                    points.len()
-                }
-                Node::Inner { children } => {
-                    let mut total = 0;
-                    for (r, child) in children {
-                        if let Some(parent) = rect {
-                            assert!(parent.contains_rect(r), "child rect escapes parent rect");
-                        }
-                        let recomputed = tree.node_rect(child);
-                        assert!(
-                            r.contains_rect(&recomputed) && recomputed.contains_rect(r),
-                            "stored child rect differs from recomputed"
-                        );
-                        total += walk(tree, child, Some(r), level - 1, false);
-                    }
-                    total
-                }
-            }
-        }
-        match &self.root {
-            None => 0,
-            Some(root) => walk(self, root, None, self.height - 1, true),
-        }
-    }
-
-    /// Tree height (1 = root is a leaf, 0 = empty); diagnostic.
-    pub fn tree_height(&self) -> usize {
-        self.height
-    }
-}
-
-/// Items that can be (re)inserted: raw points or whole orphaned subtrees.
-#[derive(Debug)]
-enum InsertItem {
-    Point(u32),
-    Subtree { rect: Rect, node: Box<Node> },
-}
-
-/// R* ChooseSubtree: at the level above the leaves pick minimum overlap
-/// enlargement; above that, minimum area enlargement. Ties fall through to
-/// area enlargement then area.
-fn choose_subtree(
-    _data: &Dataset,
-    children: &[(Rect, Box<Node>)],
-    rect: &Rect,
-    children_are_leaves: bool,
-) -> usize {
-    debug_assert!(!children.is_empty());
-    if children_are_leaves {
-        let mut best = 0;
-        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for (i, (r, _)) in children.iter().enumerate() {
-            let grown = r.union(rect);
-            let mut overlap_delta = 0.0;
-            for (j, (other, _)) in children.iter().enumerate() {
-                if i != j {
-                    overlap_delta += grown.overlap(other) - r.overlap(other);
-                }
-            }
-            let key = (overlap_delta, r.enlargement(rect), r.area());
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
-    } else {
-        let mut best = 0;
-        let mut best_key = (f64::INFINITY, f64::INFINITY);
-        for (i, (r, _)) in children.iter().enumerate() {
-            let key = (r.enlargement(rect), r.area());
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
-    }
-}
-
-/// R* topological split of a set of entry rectangles. Returns the entry
-/// indices of the two groups.
-fn split_entries(rects: &[Rect]) -> (Vec<usize>, Vec<usize>) {
-    let dim = rects[0].dim();
-    let total = rects.len();
-    debug_assert!(total > MAX_ENTRIES);
-    let k_range = MIN_ENTRIES..=(total - MIN_ENTRIES);
-
-    // ChooseSplitAxis: minimize the sum of margins over all distributions,
-    // considering entries sorted by lower then by upper bound per axis.
-    let mut best_axis = 0;
-    let mut best_axis_margin = f64::INFINITY;
-    let mut best_axis_orders: Option<[Vec<usize>; 2]> = None;
-    for axis in 0..dim {
-        let mut by_lo: Vec<usize> = (0..total).collect();
-        by_lo.sort_by(|&a, &b| {
-            rects[a].lo()[axis]
-                .total_cmp(&rects[b].lo()[axis])
-                .then(rects[a].hi()[axis].total_cmp(&rects[b].hi()[axis]))
-        });
-        let mut by_hi: Vec<usize> = (0..total).collect();
-        by_hi.sort_by(|&a, &b| {
-            rects[a].hi()[axis]
-                .total_cmp(&rects[b].hi()[axis])
-                .then(rects[a].lo()[axis].total_cmp(&rects[b].lo()[axis]))
-        });
-        let mut margin_sum = 0.0;
-        for order in [&by_lo, &by_hi] {
-            for k in k_range.clone() {
-                let r1 = bound_of(rects, &order[..k]);
-                let r2 = bound_of(rects, &order[k..]);
-                margin_sum += r1.margin() + r2.margin();
-            }
-        }
-        if margin_sum < best_axis_margin {
-            best_axis_margin = margin_sum;
-            best_axis = axis;
-            best_axis_orders = Some([by_lo, by_hi]);
-        }
-    }
-    let _ = best_axis;
-    let orders = best_axis_orders.expect("at least one axis");
-
-    // ChooseSplitIndex: minimize overlap, ties by combined area.
-    let mut best: Option<(f64, f64, Vec<usize>, Vec<usize>)> = None;
-    for order in &orders {
-        for k in k_range.clone() {
-            let g1: Vec<usize> = order[..k].to_vec();
-            let g2: Vec<usize> = order[k..].to_vec();
-            let r1 = bound_of(rects, &g1);
-            let r2 = bound_of(rects, &g2);
-            let overlap = r1.overlap(&r2);
-            let area = r1.area() + r2.area();
-            let better = match &best {
-                None => true,
-                Some((bo, ba, _, _)) => overlap < *bo || (overlap == *bo && area < *ba),
-            };
-            if better {
-                best = Some((overlap, area, g1, g2));
-            }
-        }
-    }
-    let (_, _, g1, g2) = best.expect("at least one distribution");
-    (g1, g2)
-}
-
-fn bound_of(rects: &[Rect], idxs: &[usize]) -> Rect {
-    let mut it = idxs.iter();
-    let first = *it.next().expect("group is non-empty");
-    let mut acc = rects[first].clone();
-    for &i in it {
-        acc.expand_to_rect(&rects[i]);
-    }
-    acc
 }
 
 /// Recursive STR tiling: partitions `ids` (point indices into `data`) into
@@ -1095,39 +300,17 @@ fn str_tile(data: &Dataset, ids: &mut [u32], axis: usize, emit: &mut impl FnMut(
     }
 }
 
-impl<M: Metric> RStarTree<'_, M> {
-    /// Returns `(distance_evals, nodes_visited)` for this subtree; a
-    /// node counts as visited when the search descends into it.
-    fn range_rec(&self, node: &Node, q: &[f64], eps: f64, out: &mut Vec<u32>) -> (u64, u64) {
-        match node {
-            Node::Leaf { points } => {
-                let bound = self.metric.to_surrogate(eps);
-                for &i in points {
-                    if self.metric.surrogate(q, self.data.point(i)) <= bound {
-                        out.push(i);
-                    }
-                }
-                (points.len() as u64, 1)
-            }
-            Node::Inner { children } => {
-                let mut evals = 0u64;
-                let mut visits = 1u64;
-                for (rect, child) in children {
-                    if dist_to_box(&self.metric, q, rect.lo(), rect.hi()) <= eps {
-                        let (e, v) = self.range_rec(child, q, eps, out);
-                        evals += e;
-                        visits += v;
-                    }
-                }
-                (evals, visits)
-            }
-        }
-    }
+/// A kNN frontier entry; pushes are numbered, so two entries never
+/// compare equal and the entry kind never decides the order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Frontier {
+    Node(u32),
+    Point(u32),
 }
 
 impl<M: Metric> NeighborIndex for RStarTree<'_, M> {
     fn len(&self) -> usize {
-        self.n
+        self.flat.ids.len()
     }
 
     fn range(&self, q: &[f64], eps: f64, out: &mut Vec<u32>) {
@@ -1136,9 +319,10 @@ impl<M: Metric> NeighborIndex for RStarTree<'_, M> {
 
     fn range_with(&self, q: &[f64], eps: f64, out: &mut Vec<u32>, ws: &mut QueryWorkspace) {
         out.clear();
+        let flat = &self.flat;
         let mut evals = 0u64;
         let mut visits = 0u64;
-        if let Some(flat) = &self.flat {
+        if !flat.nodes.is_empty() {
             let bound = self.metric.to_surrogate(eps);
             // Box pruning stays f64 in both precisions (bounds are
             // exact); only the leaf candidate test narrows.
@@ -1150,8 +334,8 @@ impl<M: Metric> NeighborIndex for RStarTree<'_, M> {
             ws.stack.push(0);
             while let Some(n) = ws.stack.pop() {
                 // A node counts as visited when the search descends
-                // into it — only nodes whose rect passed the test (or
-                // the root) are ever pushed, matching the recursion.
+                // into it: only the root and nodes whose box passed the
+                // test are ever pushed.
                 visits += 1;
                 match flat.nodes[n as usize] {
                     FlatRNode::Leaf { start, len, coords } => {
@@ -1180,7 +364,7 @@ impl<M: Metric> NeighborIndex for RStarTree<'_, M> {
                     }
                     FlatRNode::Inner { start, len } => {
                         // Children pushed in reverse so they pop — and
-                        // their subtrees complete — in original order.
+                        // their subtrees complete — in child order.
                         let kids = &flat.children[start as usize..(start + len) as usize];
                         for &c in kids.iter().rev() {
                             let (lo, hi) = flat.node_bounds(c);
@@ -1191,8 +375,6 @@ impl<M: Metric> NeighborIndex for RStarTree<'_, M> {
                     }
                 }
             }
-        } else if let Some(root) = &self.root {
-            (evals, visits) = self.range_rec(root, q, eps, out);
         }
         if let Some(s) = &self.sheet {
             s.record_range(evals, visits);
@@ -1200,74 +382,46 @@ impl<M: Metric> NeighborIndex for RStarTree<'_, M> {
     }
 
     fn knn(&self, q: &[f64], k: usize) -> Vec<(u32, f64)> {
-        if k == 0 || self.root.is_none() {
+        let flat = &self.flat;
+        if k == 0 || flat.nodes.is_empty() {
             return Vec::new();
         }
-        // Best-first search over nodes and points.
-        enum Item<'n> {
-            Node(&'n Node),
-            Point(u32),
-        }
-        struct HeapEntry<'n> {
-            key: Reverse<(F64, usize)>,
-            item: Item<'n>,
-        }
-        impl PartialEq for HeapEntry<'_> {
-            fn eq(&self, other: &Self) -> bool {
-                self.key == other.key
-            }
-        }
-        impl Eq for HeapEntry<'_> {}
-        impl PartialOrd for HeapEntry<'_> {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for HeapEntry<'_> {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.key.cmp(&other.key)
-            }
-        }
-        let mut frontier: BinaryHeap<HeapEntry> = BinaryHeap::new();
-        let mut tiebreak = 0usize;
-        frontier.push(HeapEntry {
-            key: Reverse((F64(0.0), tiebreak)),
-            item: Item::Node(self.root.as_ref().unwrap()),
-        });
+        // Best-first search over node boxes and points. Entries at equal
+        // distance pop in push order: children in child order, a leaf's
+        // points in `ids` order.
+        let mut frontier: BinaryHeap<Reverse<(F64, usize, Frontier)>> = BinaryHeap::new();
+        let mut pushes = 0usize;
+        frontier.push(Reverse((F64(0.0), pushes, Frontier::Node(0))));
         let mut out: Vec<(u32, f64)> = Vec::with_capacity(k);
         let mut evals = 0u64;
         let mut visits = 0u64;
-        while let Some(HeapEntry {
-            key: Reverse((F64(d), _)),
-            item,
-        }) = frontier.pop()
-        {
+        while let Some(Reverse((F64(d), _, entry))) = frontier.pop() {
             if out.len() == k {
                 break;
             }
-            match item {
-                Item::Point(i) => out.push((i, d)),
-                Item::Node(Node::Leaf { points }) => {
-                    visits += 1;
-                    evals += points.len() as u64;
-                    for &i in points {
-                        tiebreak += 1;
+            let n = match entry {
+                Frontier::Point(i) => {
+                    out.push((i, d));
+                    continue;
+                }
+                Frontier::Node(n) => n,
+            };
+            visits += 1;
+            match flat.nodes[n as usize] {
+                FlatRNode::Leaf { start, len, .. } => {
+                    evals += len as u64;
+                    for &i in &flat.ids[start as usize..(start + len) as usize] {
+                        pushes += 1;
                         let pd = self.metric.dist(q, self.data.point(i));
-                        frontier.push(HeapEntry {
-                            key: Reverse((F64(pd), tiebreak)),
-                            item: Item::Point(i),
-                        });
+                        frontier.push(Reverse((F64(pd), pushes, Frontier::Point(i))));
                     }
                 }
-                Item::Node(Node::Inner { children }) => {
-                    visits += 1;
-                    for (rect, child) in children {
-                        tiebreak += 1;
-                        let nd = dist_to_box(&self.metric, q, rect.lo(), rect.hi());
-                        frontier.push(HeapEntry {
-                            key: Reverse((F64(nd), tiebreak)),
-                            item: Item::Node(child),
-                        });
+                FlatRNode::Inner { start, len } => {
+                    for &c in &flat.children[start as usize..(start + len) as usize] {
+                        pushes += 1;
+                        let (lo, hi) = flat.node_bounds(c);
+                        let nd = dist_to_box(&self.metric, q, lo, hi);
+                        frontier.push(Reverse((F64(nd), pushes, Frontier::Node(c))));
                     }
                 }
             }
@@ -1276,6 +430,60 @@ impl<M: Metric> NeighborIndex for RStarTree<'_, M> {
             s.record_knn(evals, visits);
         }
         out
+    }
+}
+
+#[cfg(test)]
+impl<M> RStarTree<'_, M> {
+    /// Checks the arena's invariants and returns `(points, height)`:
+    /// every node holds 1..=[`STR_FILL`] entries, every box contains
+    /// its children's boxes or its leaf's points, the SoA blocks hold
+    /// their points' coordinates, every point sits in exactly one leaf,
+    /// and all leaves share one depth.
+    fn check_arena(&self) -> (usize, usize) {
+        let flat = &self.flat;
+        if flat.nodes.is_empty() {
+            return (0, 0);
+        }
+        let inside = |n: u32, lo: &[f64], hi: &[f64]| {
+            let (nlo, nhi) = flat.node_bounds(n);
+            (0..flat.dim).all(|d| nlo[d] <= lo[d] && hi[d] <= nhi[d])
+        };
+        let mut height = None;
+        let mut stack = vec![(0u32, 1usize)];
+        while let Some((n, depth)) = stack.pop() {
+            let (FlatRNode::Leaf { len, .. } | FlatRNode::Inner { len, .. }) =
+                flat.nodes[n as usize];
+            assert!((1..=STR_FILL as u32).contains(&len), "node {n} holds {len}");
+            match flat.nodes[n as usize] {
+                FlatRNode::Leaf { start, len, coords } => {
+                    let (start, len, coords) = (start as usize, len as usize, coords as usize);
+                    for (k, &i) in flat.ids[start..start + len].iter().enumerate() {
+                        let p = self.data.point(i);
+                        assert!(inside(n, p, p), "leaf {n} does not contain point {i}");
+                        for (d, &c) in p.iter().enumerate() {
+                            let at = coords + d * len + k;
+                            match flat.precision {
+                                Precision::F64 => assert_eq!(flat.coords[at], c),
+                                Precision::F32 => assert_eq!(flat.coords32[at], c as f32),
+                            }
+                        }
+                    }
+                    assert_eq!(*height.get_or_insert(depth), depth, "leaf {n} depth");
+                }
+                FlatRNode::Inner { start, len } => {
+                    for &c in &flat.children[start as usize..(start + len) as usize] {
+                        let (lo, hi) = flat.node_bounds(c);
+                        assert!(inside(n, lo, hi), "child {c} escapes node {n}");
+                        stack.push((c, depth + 1));
+                    }
+                }
+            }
+        }
+        let mut ids = flat.ids.clone();
+        ids.sort_unstable();
+        assert!(ids.iter().enumerate().all(|(k, &i)| i as usize == k));
+        (ids.len(), height.expect("a non-empty tree has leaves"))
     }
 }
 
@@ -1289,7 +497,7 @@ mod tests {
     fn bulk_load_matches_linear() {
         let d = testutil::random_dataset(800, 21);
         let idx = RStarTree::bulk_load(&d, Euclidean);
-        assert_eq!(idx.validate(), 800);
+        assert_eq!(idx.check_arena().0, 800);
         testutil::check_against_linear(&idx, &d, Euclidean);
     }
 
@@ -1301,84 +509,11 @@ mod tests {
     }
 
     #[test]
-    fn flat_view_matches_recursive_range_exactly() {
-        let d = testutil::random_dataset(600, 31);
-        let mut idx = RStarTree::bulk_load(&d, Euclidean);
-        assert!(idx.flat.is_some(), "bulk load builds the flat view");
-        let queries: Vec<u32> = (0..d.len() as u32).step_by(23).collect();
-        let flat: Vec<Vec<u32>> = queries
-            .iter()
-            .flat_map(|&i| [1.0, 6.0, 30.0].map(|eps| idx.range_vec(d.point(i), eps)))
-            .collect();
-        idx.flat = None;
-        let legacy: Vec<Vec<u32>> = queries
-            .iter()
-            .flat_map(|&i| [1.0, 6.0, 30.0].map(|eps| idx.range_vec(d.point(i), eps)))
-            .collect();
-        // Exact equality, order included: downstream scp selection is
-        // visit-order dependent.
-        assert_eq!(flat, legacy);
-    }
-
-    #[test]
-    fn mutation_drops_flat_view_and_queries_stay_correct() {
-        let d = testutil::random_dataset(400, 32);
-        let mut idx = RStarTree::bulk_load(&d, Euclidean);
-        assert!(idx.flat.is_some());
-        idx.delete(7);
-        assert!(idx.flat.is_none(), "delete invalidates the flat view");
-        idx.insert(7);
-        assert!(idx.flat.is_none(), "insert invalidates the flat view");
-        assert_eq!(idx.validate(), 400);
-        testutil::check_against_linear(&idx, &d, Euclidean);
-    }
-
-    #[test]
-    fn dynamic_insert_matches_linear() {
-        let d = testutil::random_dataset(600, 23);
-        let mut idx = RStarTree::new(&d, Euclidean);
-        for i in 0..d.len() as u32 {
-            idx.insert(i);
-        }
-        assert_eq!(idx.validate(), 600);
-        testutil::check_against_linear(&idx, &d, Euclidean);
-    }
-
-    #[test]
-    fn dynamic_insert_clustered_data() {
-        // Tight clusters stress ChooseSubtree's overlap criterion and
-        // forced reinsertion.
-        let mut flat = Vec::new();
-        for c in 0..6 {
-            let (cx, cy) = (c as f64 * 10.0, (c % 3) as f64 * 10.0);
-            for i in 0..60 {
-                let t = i as f64 * 0.1;
-                flat.extend_from_slice(&[cx + t.sin() * 0.8, cy + t.cos() * 0.8]);
-            }
-        }
-        let d = Dataset::from_flat(2, flat);
-        let mut idx = RStarTree::new(&d, Euclidean);
-        for i in 0..d.len() as u32 {
-            idx.insert(i);
-        }
-        assert_eq!(idx.validate(), 360);
-        testutil::check_against_linear(&idx, &d, Euclidean);
-    }
-
-    #[test]
     fn height_grows_logarithmically() {
         let d = testutil::random_dataset(2000, 24);
         let idx = RStarTree::bulk_load(&d, Euclidean);
-        assert!(idx.tree_height() <= 4, "height {}", idx.tree_height());
-        let mut dynamic = RStarTree::new(&d, Euclidean);
-        for i in 0..d.len() as u32 {
-            dynamic.insert(i);
-        }
-        assert!(
-            dynamic.tree_height() <= 6,
-            "height {}",
-            dynamic.tree_height()
-        );
+        let (_, height) = idx.check_arena();
+        assert!(height <= 4, "height {height}");
     }
 
     #[test]
@@ -1386,13 +521,14 @@ mod tests {
         let empty = Dataset::new(2);
         let idx = RStarTree::bulk_load(&empty, Euclidean);
         assert!(idx.is_empty());
+        assert_eq!(idx.check_arena(), (0, 0));
         assert!(idx.range_vec(&[0.0, 0.0], 10.0).is_empty());
         assert!(idx.knn(&[0.0, 0.0], 2).is_empty());
 
         let d = Dataset::from_flat(2, vec![1.0, 1.0, 2.0, 2.0]);
         let idx = RStarTree::bulk_load(&d, Euclidean);
         assert_eq!(idx.len(), 2);
-        assert_eq!(idx.validate(), 2);
+        assert_eq!(idx.check_arena(), (2, 1));
         let nn = idx.knn(&[0.0, 0.0], 1);
         assert_eq!(nn[0].0, 0);
     }
@@ -1405,141 +541,30 @@ mod tests {
         }
         let d = Dataset::from_flat(2, flat);
         let idx = RStarTree::bulk_load(&d, Euclidean);
-        assert_eq!(idx.validate(), 200);
+        assert_eq!(idx.check_arena().0, 200);
         assert_eq!(idx.range_vec(&[5.0, 5.0], 0.0).len(), 200);
-        let mut dynamic = RStarTree::new(&d, Euclidean);
-        for i in 0..200 {
-            dynamic.insert(i);
-        }
-        assert_eq!(dynamic.validate(), 200);
-        assert_eq!(dynamic.range_vec(&[5.0, 5.0], 0.0).len(), 200);
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn insert_rejects_bad_id() {
-        let d = Dataset::from_flat(2, vec![0.0, 0.0]);
-        let mut idx = RStarTree::new(&d, Euclidean);
-        idx.insert(5);
-    }
-}
-
-#[cfg(test)]
-mod delete_tests {
-    use super::*;
-    use crate::testutil;
-    use dbdc_geom::Euclidean;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn delete_then_query_matches_linear() {
-        let d = testutil::random_dataset(500, 41);
-        let mut idx = RStarTree::bulk_load(&d, Euclidean);
-        // Delete every third point.
-        let mut live: Vec<u32> = Vec::new();
-        for i in 0..d.len() as u32 {
-            if i % 3 == 0 {
-                assert!(idx.delete(i), "point {i} must be found");
-            } else {
-                live.push(i);
-            }
+    fn extreme_coordinates_build_and_query() {
+        // Box centres of points near ±f64::MAX must not overflow.
+        let mut d = Dataset::new(2);
+        for i in 0..60 {
+            let x = f64::MAX - f64::from(i) * 1e300;
+            d.push(&[if i % 2 == 0 { x } else { -x }, f64::MAX]);
         }
-        assert_eq!(idx.len(), live.len());
-        assert_eq!(idx.validate(), live.len());
-        // Queries return exactly the live points a scan would.
-        let mut out = Vec::new();
-        for &q in live.iter().step_by(17) {
-            idx.range(d.point(q), 8.0, &mut out);
-            out.sort_unstable();
-            let mut want: Vec<u32> = live
-                .iter()
-                .copied()
-                .filter(|&p| Euclidean.dist(d.point(p), d.point(q)) <= 8.0)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(out, want);
-        }
-    }
-
-    #[test]
-    fn delete_everything_empties_tree() {
-        let d = testutil::random_dataset(200, 42);
-        let mut idx = RStarTree::bulk_load(&d, Euclidean);
-        for i in 0..200u32 {
-            assert!(idx.delete(i));
-        }
-        assert!(idx.is_empty());
-        assert_eq!(idx.tree_height(), 0);
-        assert!(idx.range_vec(&[0.0, 0.0], 1e9).is_empty());
-        // And the tree is usable again afterwards.
-        idx.insert(5);
-        assert_eq!(idx.len(), 1);
-        assert_eq!(idx.range_vec(d.point(5), 0.1), vec![5]);
-    }
-
-    #[test]
-    fn delete_missing_returns_false() {
-        let mut flat = vec![0.0, 0.0, 1.0, 1.0, 50.0, 50.0];
-        flat.extend_from_slice(&[2.0, 2.0]);
-        let d = Dataset::from_flat(2, flat);
-        let mut idx = RStarTree::bulk_load(&d, Euclidean);
-        assert!(idx.delete(1));
-        assert!(!idx.delete(1), "second delete of same id fails");
-        assert_eq!(idx.len(), 3);
-    }
-
-    #[test]
-    fn randomized_insert_delete_cycles() {
-        let d = testutil::random_dataset(400, 43);
-        let mut idx = RStarTree::new(&d, Euclidean);
-        let mut rng = StdRng::seed_from_u64(43);
-        let mut live: Vec<u32> = Vec::new();
-        let mut next = 0u32;
-        for step in 0..800 {
-            if next < 400 && (live.is_empty() || rng.random_range(0..100) < 60) {
-                idx.insert(next);
-                live.push(next);
-                next += 1;
-            } else {
-                let victim = rng.random_range(0..live.len());
-                let id = live.swap_remove(victim);
-                assert!(idx.delete(id), "step {step}: delete {id}");
-            }
-            if step % 100 == 99 {
-                assert_eq!(idx.validate(), live.len(), "step {step}");
-            }
-        }
-        assert_eq!(idx.validate(), live.len());
-        // Final cross-check against brute force.
-        let mut out = Vec::new();
-        idx.range(&[0.0, 0.0], 30.0, &mut out);
-        out.sort_unstable();
-        let mut want: Vec<u32> = live
-            .iter()
-            .copied()
-            .filter(|&p| Euclidean.dist(d.point(p), &[0.0, 0.0]) <= 30.0)
-            .collect();
-        want.sort_unstable();
-        assert_eq!(out, want);
-    }
-
-    #[test]
-    fn parallel_flatten_is_bit_identical() {
-        let d = testutil::random_dataset(4000, 41);
-        let seq = RStarTree::bulk_load(&d, Euclidean).arena_bits();
-        assert!(!seq.is_empty());
-        for threads in [2, 3, 8] {
-            let par = RStarTree::bulk_load_threaded(&d, Euclidean, threads).arena_bits();
-            assert_eq!(seq, par, "threads={threads}");
-        }
+        let idx = RStarTree::bulk_load(&d, Euclidean);
+        assert_eq!(idx.check_arena().0, 60);
+        assert_eq!(idx.range_vec(d.point(0), 0.0), vec![0]);
+        assert_eq!(idx.knn(d.point(3), 1)[0].0, 3);
     }
 
     #[test]
     fn f32_range_matches_oracle_away_from_boundary() {
         let d = testutil::random_dataset(800, 42);
         let oracle = RStarTree::bulk_load(&d, Euclidean);
-        let narrow = RStarTree::bulk_load_opts(&d, Euclidean, 2, Precision::F32);
+        let narrow = RStarTree::bulk_load_opts(&d, Euclidean, Precision::F32);
+        assert_eq!(narrow.check_arena().0, 800);
         let (mut a, mut b) = (Vec::new(), Vec::new());
         let mut agree = 0usize;
         let mut total = 0usize;
@@ -1559,18 +584,49 @@ mod delete_tests {
         );
     }
 
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: &[u64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    /// The arena layout — STR grouping, preorder node order, child
+    /// lists after their subtrees, SoA leaf blocks — is pinned to
+    /// digests of known-good builds, at both precisions. Any change to
+    /// how the tree is tiled or emitted (a level-order layout, say)
+    /// changes range output order and with it which core points DBDC
+    /// picks as representatives. The inputs use no libm, so the digests
+    /// hold on any host.
     #[test]
-    fn duplicate_coordinates_delete_one_at_a_time() {
-        let mut flat = Vec::new();
-        for _ in 0..50 {
-            flat.extend_from_slice(&[3.0, 3.0]);
+    fn arena_layout_matches_recorded_digests() {
+        let check = |d: &Dataset, want64: u64, want32: u64| {
+            for (precision, want) in [(Precision::F64, want64), (Precision::F32, want32)] {
+                let got = fnv1a(&RStarTree::bulk_load_opts(d, Euclidean, precision).arena_bits());
+                assert_eq!(got, want, "n = {} at {precision:?}: {got:#018x}", d.len());
+            }
+        };
+        for (n, want64, want32) in [
+            (0, 0xcbf29ce484222325, 0xcbf29ce484222325),
+            (1, 0x17eabba4d18c1f9d, 0x66a4155bf384508d),
+            (24, 0x461f2b8fd04c7fe8, 0x14b7b6c70997911c),
+            (25, 0xb46d7e06397b9ddf, 0xa1cb4fd77731c5dd),
+            (577, 0x9b08eaada37b0e19, 0x4bd87000b0f43845),
+            (2500, 0x61bfba5577fa2c3d, 0xa5043f1e0031cc0c),
+        ] {
+            check(&testutil::random_dataset(n, 5), want64, want32);
         }
-        let d = Dataset::from_flat(2, flat);
-        let mut idx = RStarTree::bulk_load(&d, Euclidean);
-        for i in 0..50u32 {
-            assert!(idx.delete(i), "delete {i}");
-            assert_eq!(idx.len(), (49 - i) as usize);
+        // Six tight clusters on a 3 × 2 lattice, from integer arithmetic.
+        let mut clustered = Dataset::new(2);
+        for c in 0..6u32 {
+            let (cx, cy) = (f64::from(c % 3) * 40.0, f64::from(c / 3) * 40.0);
+            for i in 0..150u32 {
+                let (x, y) = (f64::from(i * 37 % 101), f64::from(i * 53 % 97));
+                clustered.push(&[cx + x * 0.05, cy + y * 0.05]);
+            }
         }
-        assert!(idx.is_empty());
+        check(&clustered, 0x3a50d4c47fd3fe01, 0x2a8e89727f249598);
     }
 }

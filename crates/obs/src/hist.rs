@@ -175,7 +175,8 @@ impl Histogram {
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`) as a bucket upper bound
-    /// clamped to `[min, max]`. 0 when empty.
+    /// clamped to `[min, max]`. 0 when empty. Never panics: a torn live
+    /// snapshot can hold `min > max`, and then the result is `max`.
     pub fn percentile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -186,7 +187,7 @@ impl Histogram {
             seen += c;
             if seen >= rank {
                 let (_, hi) = bucket_bounds(i);
-                return hi.clamp(self.min, self.max);
+                return hi.max(self.min).min(self.max);
             }
         }
         self.max
@@ -215,7 +216,7 @@ impl Histogram {
         if p50 == 0 {
             0.0
         } else {
-            (self.max - self.min) as f64 / p50 as f64
+            self.max.saturating_sub(self.min) as f64 / p50 as f64
         }
     }
 
@@ -272,9 +273,11 @@ impl Histogram {
 
     /// Reassembles a histogram from its exact parts: the side-tracked
     /// `count`/`sum`/`min`/`max` plus sparse `(index, count)` bucket
-    /// pairs. Validates that the bucket counts sum to `count` — the one
-    /// internal invariant a deserializer could otherwise violate. Shared
-    /// by [`Histogram::from_json`] and the Prometheus exposition parser.
+    /// pairs. Validates that the bucket counts sum to `count` without
+    /// overflow — the one internal invariant a deserializer could
+    /// otherwise violate. `min > max` is let through: a scrape of a live
+    /// [`HistSheet`] can tear that way. Shared by [`Histogram::from_json`]
+    /// and the Prometheus exposition parser.
     pub fn from_parts(
         count: u64,
         sum: u64,
@@ -292,8 +295,10 @@ impl Histogram {
             if i >= N_BUCKETS {
                 return Err("histogram bucket index out of range".into());
             }
+            total = total
+                .checked_add(c)
+                .ok_or("histogram bucket counts overflow u64")?;
             h.buckets[i] += c;
-            total += c;
         }
         if total != h.count {
             return Err(format!(
@@ -304,7 +309,9 @@ impl Histogram {
         Ok(h)
     }
 
-    /// Rebuilds a histogram from [`Histogram::to_json`] output.
+    /// Rebuilds a histogram from [`Histogram::to_json`] output. Reports
+    /// are written after their phases join, so a non-empty histogram
+    /// whose `min` exceeds its `max` is corrupt and rejected.
     pub fn from_json(v: &Json) -> Result<Histogram, String> {
         let field = |name: &str| {
             v.get(name)
@@ -330,13 +337,12 @@ impl Histogram {
                 .ok_or("histogram bucket count not an integer")?;
             pairs.push((i, c));
         }
-        Histogram::from_parts(
-            field("count")?,
-            field("sum")?,
-            field("min")?,
-            field("max")?,
-            pairs,
-        )
+        let (min, max) = (field("min")?, field("max")?);
+        let h = Histogram::from_parts(field("count")?, field("sum")?, min, max, pairs)?;
+        if !h.is_empty() && min > max {
+            return Err(format!("histogram \"min\" {min} exceeds its \"max\" {max}"));
+        }
+        Ok(h)
     }
 }
 

@@ -452,6 +452,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn writes_stable_pretty_output() {
@@ -539,5 +540,32 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Bool(true).as_bool(), Some(true));
+    }
+
+    /// Bytes drawn from JSON's own alphabet, so most cases get past the
+    /// first token.
+    fn json_like() -> impl Strategy<Value = String> {
+        const ALPHABET: &[u8] = b"{}[]\":,-+.eE0123456789 truefalsn\\u\n";
+        prop::collection::vec(0..ALPHABET.len(), 0..256)
+            .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i] as char).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn parse_never_panics_on_json_like_text(text in json_like()) {
+            if let Ok(v) = Json::parse(&text) {
+                // What parses prints, and the print parses back.
+                prop_assert!(Json::parse(&v.to_string_pretty()).is_ok(), "{:?}", text);
+            }
+        }
     }
 }

@@ -865,6 +865,7 @@ fn req_duration(v: &Json, key: &str, what: &str) -> Result<Duration, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fingerprint_always_fills_every_field() {
@@ -1130,6 +1131,48 @@ mod tests {
             "site[0]: local DBCV +0.7812",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
+    }
+
+    /// Collects every number under `v`.
+    fn numbers<'a>(v: &'a mut Json, out: &mut Vec<&'a mut Json>) {
+        match v {
+            Json::Num(_) => out.push(v),
+            Json::Arr(items) => items.iter_mut().for_each(|item| numbers(item, out)),
+            Json::Obj(pairs) => pairs.iter_mut().for_each(|(_, item)| numbers(item, out)),
+            _ => {}
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The golden report with a few of its histogram fields, bucket
+        /// entries and counters overwritten by integers of any magnitude
+        /// (past the 2^53 that report JSON holds exactly, too) parses or
+        /// fails cleanly, and what parses renders and diffs against
+        /// itself without a panic.
+        #[test]
+        fn doctored_report_parses_renders_and_diffs_without_panic(
+            subs in prop::collection::vec((any::<usize>(), 0u32..64, any::<u64>()), 1..4),
+        ) {
+            let mut v = Json::parse(include_str!("../tests/golden/run_report.json")).unwrap();
+            let mut slots = Vec::new();
+            if let Json::Obj(sections) = &mut v {
+                for (key, section) in sections.iter_mut() {
+                    if matches!(key.as_str(), "hists" | "counters" | "sites") {
+                        numbers(section, &mut slots);
+                    }
+                }
+            }
+            for (slot, shift, bits) in subs {
+                let at = slot % slots.len();
+                *slots[at] = Json::num_u64(bits >> shift);
+            }
+            if let Ok(r) = RunReport::parse(&v.to_string_pretty()) {
+                let _ = r.render();
+                let _ = crate::diff::diff_reports(&r, &r, crate::diff::DEFAULT_THRESHOLD);
+            }
         }
     }
 }

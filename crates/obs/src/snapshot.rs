@@ -473,6 +473,7 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
 mod tests {
     use super::*;
     use crate::recorder::Recorder;
+    use proptest::prelude::*;
 
     fn engine_with_traffic() -> SnapshotEngine {
         let rec = Arc::new(RecordingRecorder::new());
@@ -606,5 +607,41 @@ mod tests {
         let snap = TelemetrySnapshot::from_prometheus(text).expect("parse");
         assert_eq!(snap.uptime_us, 55);
         assert!(snap.counters.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The golden report's counters and histograms as an exposition,
+        /// with a few sample values overwritten by arbitrary `u64`s: the
+        /// parser succeeds or fails cleanly, and what parses re-renders
+        /// and answers p50/p90 without a panic (a torn live scrape can
+        /// hold a histogram whose min exceeds its max).
+        #[test]
+        fn doctored_exposition_parses_and_renders_without_panic(
+            subs in prop::collection::vec((any::<usize>(), 0u32..64, any::<u64>()), 1..4),
+        ) {
+            let golden = crate::RunReport::parse(include_str!("../tests/golden/run_report.json"))
+                .unwrap();
+            let snap = TelemetrySnapshot {
+                counters: golden.scopes,
+                hists: golden.hists,
+                ..TelemetrySnapshot::default()
+            };
+            let mut lines: Vec<String> = snap.to_prometheus().lines().map(str::to_string).collect();
+            let samples: Vec<usize> =
+                (0..lines.len()).filter(|&i| !lines[i].starts_with('#')).collect();
+            for (pick, shift, bits) in subs {
+                let line = &mut lines[samples[pick % samples.len()]];
+                let series = line.rsplit_once(' ').unwrap().0.to_string();
+                *line = format!("{series} {}", bits >> shift);
+            }
+            if let Ok(parsed) = TelemetrySnapshot::from_prometheus(&lines.join("\n")) {
+                let _ = parsed.to_prometheus();
+                for (_, h) in &parsed.hists {
+                    let _ = (h.p50(), h.p90());
+                }
+            }
+        }
     }
 }
