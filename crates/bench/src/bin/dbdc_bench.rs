@@ -248,10 +248,10 @@ fn main() {
                         cells.entry(cell).or_default().record(merged.p50());
                     }
                 }
-                // The partitioned-local sweep: each site striped into P
-                // ε-halo'd partitions, one private index per stripe, two
-                // workers. The clustering is identical to the cells
-                // above; only the wall should move.
+                // The partitioned-local sweep: each site split into P
+                // partitions on two workers (in 2-d, P cell ranges of the
+                // grid kernel's one site grid). The clustering is
+                // identical to the cells above; only the wall should move.
                 for parts in PARTITIONS {
                     let params = DbdcParams::new(set.eps, set.min_pts)
                         .with_index(kind)

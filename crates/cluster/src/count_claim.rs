@@ -9,13 +9,21 @@
 //! kernel answers them on a [`dbdc_index::GridIndex`] with cells of side
 //! `ε/√d`, shrunk by [`GUARD`] so that any two points of one cell pass
 //! the indexes' `surrogate ≤ ε²` test in floating point (the dense-cell
-//! trick of Gunawan 2013 and Gan & Tao, SIGMOD 2015):
+//! trick of Gunawan 2013 and Gan & Tao, SIGMOD 2015). A site builds that
+//! grid once, on one thread, and one `Lattice` over it: its occupied
+//! cells in colex rank order, each with its candidate neighbour cells.
+//! Every step below reads that one lattice.
 //!
-//! * **Core flags** (`core_flags`, order-independent, one call per
-//!   stripe on the partition workers): a cell holding at least MinPts
-//!   points makes every member core with no distance evaluation; every
-//!   other point counts its own cell whole and the rest cell by cell,
-//!   and stops at MinPts.
+//! * **Core flags** (`Lattice::core_flags`, order-independent): the
+//!   partitioned layer splits the ranks into contiguous cell ranges of
+//!   about equal point counts (`Lattice::ranges`) and decides each
+//!   range on a partition worker; the workers share the read-only
+//!   lattice, so nothing is copied and no halo is replicated. A cell
+//!   holding at least MinPts points makes every member core with no
+//!   distance evaluation; every other point counts its own cell whole
+//!   and the rest cell by cell, and stops at MinPts. Each decision scans
+//!   the same cells in the same order whatever the ranges, so the work
+//!   counters do not depend on the split.
 //! * **Claims** (`Claims`, the sequential pass): each cell keeps its
 //!   members not yet seen closed; a core point's expansion skips closed
 //!   cells, takes its own cell's open members whole, and tests the
@@ -24,10 +32,12 @@
 //!   core point.
 //!
 //! A cell's candidate neighbour cells come from the grid's colex cell
-//! order by one sweep per grid, not from a hash probe per cell of each
-//! query box ([`GridIndex::visit_cells`]): those probes dominated the
-//! kernel's time on sparse sites, where most cells hold one or two
-//! points.
+//! order by one sweep, not from a hash probe per cell of each query box
+//! ([`GridIndex::visit_cells`]): those probes dominated the kernel's
+//! time on sparse sites, where most cells hold one or two points. A cell
+//! range's halo (`Lattice::halo`) is the points of the other ranges'
+//! cells that its own cells' candidate runs reach: what its core
+//! decisions may read in place.
 //!
 //! Every answer is the neighbour set the indexes return, so the state
 //! machine's result is bit-identical to the list engine's.
@@ -150,10 +160,17 @@ impl Work {
 /// the first, those cells form one run of the grid's colex ranks (the
 /// first axis varies fastest), and the run's bounds only move forward
 /// from one cell to the next: one sweep finds them all, with no lookups.
-struct Lattice<'g> {
+///
+/// One lattice serves a whole site: the core decisions of every cell
+/// range, read concurrently, then the claims and Definition 7's scans.
+pub(crate) struct Lattice<'g> {
+    data: &'g Dataset,
     geometry: Cells,
     /// The cells by rank.
     cells: Vec<GridCell<'g>>,
+    /// Cell `r`'s members are positions `start[r]..start[r + 1]` of the
+    /// cells' ids laid end to end; one more entry than there are cells.
+    start: Vec<u32>,
     /// Runs per cell: cell `r`'s candidate neighbour cells are the rank
     /// ranges `near[r * runs..(r + 1) * runs]`.
     near: Vec<(u32, u32)>,
@@ -161,7 +178,12 @@ struct Lattice<'g> {
 }
 
 impl<'g> Lattice<'g> {
-    fn new(grid: &'g GridIndex<'g, Euclidean>, data: &Dataset, geometry: Cells) -> Lattice<'g> {
+    /// The lattice of `grid`, [`Cells::grid`] of `data`.
+    pub(crate) fn new(
+        grid: &'g GridIndex<'g, Euclidean>,
+        data: &'g Dataset,
+        geometry: Cells,
+    ) -> Lattice<'g> {
         let dim = data.dim();
         let cells: Vec<GridCell<'g>> = grid.cells().collect();
         // Each run: the key offsets of its first and last cell.
@@ -211,12 +233,86 @@ impl<'g> Lattice<'g> {
                 near.push((*lo as u32, *hi as u32));
             }
         }
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0u32);
+        for cell in &cells {
+            start.push(start[cell.rank] + cell.ids.len() as u32);
+        }
         Lattice {
+            data,
             geometry,
             cells,
+            start,
             near,
             runs: bounds.len(),
         }
+    }
+
+    /// Splits the cells into `parts` contiguous rank ranges of about
+    /// equal point counts, clamped to one range per occupied cell and to
+    /// at least one range.
+    pub(crate) fn ranges(&self, parts: usize) -> Vec<Range<usize>> {
+        let n = self.cells.len();
+        let parts = parts.max(1).min(n.max(1));
+        let total = self.start[n] as usize;
+        let mut split = Vec::with_capacity(parts);
+        let mut from = 0;
+        for j in 1..parts {
+            // The first cell at or past the j-th share, leaving a cell
+            // for each range after this one.
+            let share = total * j / parts;
+            let to = self
+                .start
+                .partition_point(|&s| (s as usize) < share)
+                .clamp(from + 1, n - (parts - j));
+            split.push(from..to);
+            from = to;
+        }
+        split.push(from..n);
+        split
+    }
+
+    /// The points in cell range `own`.
+    pub(crate) fn points(&self, own: Range<usize>) -> usize {
+        (self.start[own.end] - self.start[own.start]) as usize
+    }
+
+    /// The halo of cell range `own`: the points of the cells outside it
+    /// that its cells' candidate runs reach. Its core decisions read
+    /// them in place.
+    pub(crate) fn halo(&self, own: Range<usize>) -> usize {
+        let mut outside: Vec<(usize, usize)> = Vec::new();
+        for k in 0..self.runs {
+            // One run's bounds only move forward from cell to cell, so
+            // `reached` ends the union of the run so far.
+            let mut reached = 0;
+            for r in own.clone() {
+                let (a, b) = self.near[r * self.runs + k];
+                let (a, b) = ((a as usize).max(reached), b as usize);
+                if a >= b {
+                    continue;
+                }
+                reached = b;
+                if a < own.start {
+                    outside.push((a, b.min(own.start)));
+                }
+                if b > own.end {
+                    outside.push((a.max(own.end), b));
+                }
+            }
+        }
+        // The runs of different offsets overlap across cells.
+        outside.sort_unstable();
+        let mut covered = 0;
+        let mut halo = 0;
+        for (a, b) in outside {
+            let a = a.max(covered);
+            if a < b {
+                halo += self.points(a..b);
+                covered = b;
+            }
+        }
+        halo
     }
 
     /// The candidate neighbour cells of cell `home`.
@@ -266,98 +362,90 @@ impl<'g> Lattice<'g> {
         }
         found
     }
-}
 
-/// Decides the core flags of `sub`'s points `owned` (a stripe, with
-/// `sub` holding the stripe and its ε-halo) on a private grid over
-/// `sub`: flag `k` is point `owned.start + k`'s. Each decision is one of
-/// `Work::decisions` and one `hist` sample.
-pub(crate) fn core_flags(
-    sub: &Dataset,
-    owned: Range<u32>,
-    geometry: Cells,
-    min_pts: usize,
-    hist: Option<&Arc<HistSheet>>,
-) -> (Vec<bool>, Work) {
-    let grid = geometry.grid(sub);
-    let lattice = Lattice::new(&grid, sub, geometry);
-    let mut core = vec![false; owned.len()];
-    let mut work = Work {
-        decisions: owned.len() as u64,
-        ..Work::default()
-    };
-    for cell in &lattice.cells {
-        let dense = cell.ids.len() >= min_pts;
-        for &id in cell.ids.iter().filter(|&id| owned.contains(id)) {
-            let t0 = hist.map(|_| Instant::now());
-            core[(id - owned.start) as usize] = dense || {
-                // Every member of the point's own cell is a neighbour.
-                let q = sub.point(id);
-                let mut count = cell.ids.len();
-                for r in lattice.around(q, cell.rank) {
-                    if count >= min_pts {
-                        break;
-                    }
-                    if r != cell.rank {
-                        work.visits += 1;
-                        count += lattice.count_within(q, r, min_pts - count, &mut work);
-                    }
+    /// Decides the core flags of the points in cell range `own`, member
+    /// by member in cell order. Each decision scans the same cells,
+    /// whatever the ranges, and is one of `Work::decisions` and one
+    /// `hist` sample.
+    pub(crate) fn core_flags(
+        &self,
+        own: Range<usize>,
+        min_pts: usize,
+        hist: Option<&Arc<HistSheet>>,
+    ) -> (Vec<bool>, Work) {
+        let points = self.points(own.clone());
+        let mut core = Vec::with_capacity(points);
+        let mut work = Work {
+            decisions: points as u64,
+            ..Work::default()
+        };
+        for cell in &self.cells[own] {
+            let dense = cell.ids.len() >= min_pts;
+            for &id in cell.ids {
+                let t0 = hist.map(|_| Instant::now());
+                core.push(
+                    dense || {
+                        // Every member of the point's own cell is a neighbour.
+                        let q = self.data.point(id);
+                        let mut count = cell.ids.len();
+                        for r in self.around(q, cell.rank) {
+                            if count >= min_pts {
+                                break;
+                            }
+                            if r != cell.rank {
+                                work.visits += 1;
+                                count += self.count_within(q, r, min_pts - count, &mut work);
+                            }
+                        }
+                        count >= min_pts
+                    },
+                );
+                if let (Some(h), Some(t0)) = (hist, t0) {
+                    h.record_duration(t0.elapsed());
                 }
-                count >= min_pts
-            };
-            if let (Some(h), Some(t0)) = (hist, t0) {
-                h.record_duration(t0.elapsed());
             }
         }
+        (core, work)
     }
-    (core, work)
 }
 
 /// The sequential pass's source: core flags decided beforehand, claims
-/// and Definition 7's scans on one grid over the whole site.
+/// and Definition 7's scans on the site's lattice.
 pub(crate) struct Claims<'g> {
-    data: &'g Dataset,
     lattice: Lattice<'g>,
     core: Vec<bool>,
     /// Each point's cell rank.
     home: Vec<u32>,
-    /// Cell `r`'s members not yet seen closed are
-    /// `open[start[r]..start[r] + len[r]]`, in no particular order.
+    /// Cell `r`'s members not yet seen closed are the first `len[r]` of
+    /// `open[lattice.start[r]..]`, in no particular order.
     open: Vec<u32>,
-    start: Vec<u32>,
     len: Vec<u32>,
     /// Cells scanned and distances computed by the claims and scans.
     pub(crate) work: Work,
 }
 
 impl<'g> Claims<'g> {
-    /// The source for `data`, whose core flags are `core`, over `grid`,
-    /// [`Cells::grid`] of `data`.
-    pub(crate) fn new(
-        grid: &'g GridIndex<'g, Euclidean>,
-        data: &'g Dataset,
-        geometry: Cells,
-        core: Vec<bool>,
-    ) -> Claims<'g> {
-        let lattice = Lattice::new(grid, data, geometry);
-        let mut home = vec![0u32; data.len()];
-        let mut open = Vec::with_capacity(data.len());
-        let (mut start, mut len) = (Vec::new(), Vec::new());
+    /// The source over `lattice`, whose points' core flags are `flags`,
+    /// in the lattice's cell order as [`Lattice::core_flags`] returns
+    /// them.
+    pub(crate) fn new(lattice: Lattice<'g>, flags: impl IntoIterator<Item = bool>) -> Claims<'g> {
+        let n = lattice.data.len();
+        let (mut core, mut home) = (vec![false; n], vec![0u32; n]);
+        let (mut open, mut len) = (Vec::with_capacity(n), Vec::new());
+        let mut flags = flags.into_iter();
         for cell in &lattice.cells {
-            start.push(open.len() as u32);
             len.push(cell.ids.len() as u32);
             open.extend_from_slice(cell.ids);
             for &id in cell.ids {
                 home[id as usize] = cell.rank as u32;
+                core[id as usize] = flags.next().expect("one flag per point");
             }
         }
         Claims {
-            data,
             lattice,
             core,
             home,
             open,
-            start,
             len,
             work: Work::default(),
         }
@@ -370,7 +458,8 @@ impl Neighborhoods for Claims<'_> {
     }
 
     fn claim(&mut self, j: u32, state: &mut [i64], mut claim: impl FnMut(u32, &mut i64)) {
-        let q = self.data.point(j);
+        let data = self.lattice.data;
+        let q = data.point(j);
         let own = self.home[j as usize] as usize;
         for r in self.lattice.near(own) {
             // Most cells an expansion passes are closed already.
@@ -379,7 +468,7 @@ impl Neighborhoods for Claims<'_> {
                 continue;
             }
             self.work.visits += 1;
-            let open = &mut self.open[self.start[r] as usize..];
+            let open = &mut self.open[self.lattice.start[r] as usize..];
             let mut k = 0;
             while k < *len as usize {
                 let p = open[k];
@@ -387,7 +476,7 @@ impl Neighborhoods for Claims<'_> {
                 if *s < 0
                     && (r == own || {
                         self.work.evals += 1;
-                        Euclidean.surrogate(q, self.data.point(p)) <= self.lattice.geometry.bound
+                        Euclidean.surrogate(q, data.point(p)) <= self.lattice.geometry.bound
                     })
                 {
                     claim(p, s);
@@ -404,7 +493,7 @@ impl Neighborhoods for Claims<'_> {
     }
 
     fn each_neighbor(&mut self, s: u32, mut visit: impl FnMut(u32)) {
-        let q = self.data.point(s);
+        let q = self.lattice.data.point(s);
         let own = self.home[s as usize] as usize;
         let bound = self.lattice.geometry.bound;
         let mut surrogates = [0.0f64; BATCH_LANES];
@@ -451,6 +540,79 @@ mod tests {
         assert!(Cells::fit(&d, 1.0, Precision::F32).is_none());
         let wide = Dataset::from_flat(MAX_DIM + 1, vec![0.0; MAX_DIM + 1]);
         assert!(Cells::fit(&wide, 1.0, Precision::F64).is_none());
+    }
+
+    /// Points on a wiggly curve through `dim`-space, `per` to a unit.
+    fn curve(dim: usize, n: usize) -> Dataset {
+        let mut d = Dataset::new(dim);
+        for i in 0..n {
+            let t = i as f64 * 0.05;
+            let p: Vec<f64> = (0..dim)
+                .map(|a| (t * (1.0 + a as f64)).sin() * 3.0 + t)
+                .collect();
+            d.push(&p);
+        }
+        d
+    }
+
+    #[test]
+    fn ranges_split_the_cells_and_halos_are_the_runs_outside() {
+        for dim in 1..=MAX_DIM {
+            let d = curve(dim, 600);
+            let cells = Cells::fit(&d, 0.4, Precision::F64).expect("fits");
+            let grid = cells.grid(&d);
+            let lattice = Lattice::new(&grid, &d, cells);
+            let n_cells = lattice.cells.len();
+            for parts in [1, 2, 3, 7, n_cells + 5] {
+                let ranges = lattice.ranges(parts);
+                assert_eq!(ranges.len(), parts.min(n_cells));
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges.last().unwrap().end, n_cells);
+                assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+                assert!(ranges.iter().all(|r| !r.is_empty()));
+                let points: usize = ranges.iter().map(|r| lattice.points(r.clone())).sum();
+                assert_eq!(points, d.len());
+                for own in ranges {
+                    // Every cell outside `own` one of its cells' runs holds.
+                    let mut reached = vec![false; n_cells];
+                    for r in own.clone() {
+                        for c in lattice.near(r).filter(|c| !own.contains(c)) {
+                            reached[c] = true;
+                        }
+                    }
+                    let want: usize = (0..n_cells)
+                        .filter(|&c| reached[c])
+                        .map(|c| lattice.cells[c].ids.len())
+                        .sum();
+                    assert_eq!(lattice.halo(own.clone()), want, "{dim}-d, {parts} parts");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranges_balance_points_and_clamp_to_the_cells() {
+        let empty = Dataset::new(2);
+        let cells = Cells::fit(&empty, 1.0, Precision::F64).expect("fits");
+        let grid = cells.grid(&empty);
+        let lattice = Lattice::new(&grid, &empty, cells);
+        assert_eq!(lattice.ranges(4), vec![0..0]);
+        assert_eq!(lattice.halo(0..0), 0);
+
+        let d = curve(2, 2000);
+        let cells = Cells::fit(&d, 0.3, Precision::F64).expect("fits");
+        let grid = cells.grid(&d);
+        let lattice = Lattice::new(&grid, &d, cells);
+        let largest = lattice.cells.iter().map(|c| c.ids.len()).max().unwrap();
+        for parts in [2, 4] {
+            for r in lattice.ranges(parts) {
+                let share = d.len() / parts;
+                assert!(
+                    lattice.points(r.clone()).abs_diff(share) <= largest,
+                    "{r:?}"
+                );
+            }
+        }
     }
 
     #[test]

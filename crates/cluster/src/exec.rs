@@ -14,12 +14,12 @@
 //! [`crate::partitioned::partitioned_dbscan_with_scp_observed`], the
 //! function the benchmark's traced composition calls too. In up to
 //! [`crate::count_claim::MAX_DIM`] dimensions at f64 it runs the grid
-//! count-and-claim kernel, so `index` no longer changes that local work
-//! (its output already did not depend on `index`); above the cut, at
-//! f32, or when the
-//! coordinates outgrow the kernel's guard, it gathers lists through
-//! `index`. Unpartitioned runs, and [`Execution::dbscan`] on every path,
-//! query `index` as before.
+//! count-and-claim kernel on one grid per site, whose cell ranges are
+//! the partitions, so `index` no longer changes that local work (its
+//! output already did not depend on `index`); above the cut, at f32, or
+//! when the coordinates outgrow the kernel's guard, it gathers lists
+//! through `index`, one stripe per partition. Unpartitioned runs, and
+//! [`Execution::dbscan`] on every path, query `index` as before.
 
 use crate::dbscan::{dbscan, DbscanParams, DbscanResult};
 use crate::par_dbscan::{cluster_from_neighborhoods, effective_threads, parallel_neighborhoods};
@@ -52,8 +52,9 @@ pub struct Execution {
 /// Wall times of one run.
 #[derive(Debug, Clone, Default)]
 pub struct ExecTimes {
-    /// Index construction. Zero when partitioned: each partition builds
-    /// its own index inside its partition time.
+    /// Index construction. Zero when partitioned: each stripe builds its
+    /// own index inside its partition time, and the grid kernel builds
+    /// its one site grid inside `cluster`.
     pub build: Duration,
     /// Clustering, excluding `build`.
     pub cluster: Duration,

@@ -1,4 +1,5 @@
-//! Partitioned local DBSCAN: spatial stripes with ε-halos.
+//! Partitioned local DBSCAN: spatial stripes with ε-halos, or cell
+//! ranges of one grid per site.
 //!
 //! [`par_dbscan`](mod@crate::par_dbscan) parallelizes the ε-range queries
 //! against one shared index. This module instead partitions the points
@@ -37,18 +38,21 @@
 //!
 //! Where [`mod@crate::count_claim`] applies — at most
 //! [`crate::count_claim::MAX_DIM`] dimensions, f64 precision, and
-//! coordinates the kernel's guard covers — the stripes gather no lists.
-//! Each stripe decides its owned points' core flags on a private grid
-//! over its stripe and halo, the order-independent half, and one
-//! sequential pass over a grid of the whole site expands clusters in
-//! ascending id order, scanning only each cell's open members. The
-//! index backend then plays no part. Anywhere else the stripes gather
-//! every owned point's list through their private indexes, as above.
-//! Both sources yield the same [`ScpResult`]; plain
-//! [`partitioned_dbscan`] always gathers lists, since its merge counts
-//! cross-stripe edges over them.
+//! coordinates the kernel's guard covers — nothing is striped, sorted or
+//! copied. The site gets one grid and one lattice of candidate cells.
+//! Its occupied cells, in the grid's colex rank order, are split into
+//! `partitions` contiguous cell ranges of about equal point counts, and
+//! up to `threads` workers decide the core flags range by range, all
+//! reading that one grid, the order-independent half. One sequential
+//! pass over the same lattice then expands clusters in ascending id
+//! order, scanning only each cell's open members. The index backend
+//! plays no part. Anywhere else the stripes gather every owned point's
+//! list through their private indexes, as above. Both sources yield the
+//! same [`ScpResult`]; plain [`partitioned_dbscan`] always gathers
+//! lists, since its merge counts cross-stripe edges over them. Stripes
+//! and cell ranges run on one worker loop.
 
-use crate::count_claim::{core_flags, Cells, Claims};
+use crate::count_claim::{Cells, Claims, Lattice};
 use crate::dbscan::{DbscanParams, DbscanResult};
 use crate::par_dbscan::{cluster_from_neighborhoods, effective_threads};
 use crate::scp::{enhanced_dbscan, ScpResult, SeedOrder};
@@ -70,20 +74,26 @@ pub fn effective_partitions(requested: usize, threads: usize) -> usize {
     }
 }
 
-/// Telemetry of one partitioned run.
+/// Telemetry of one partitioned run. A partition is a stripe where
+/// lists are gathered and a cell range on the grid kernel (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct PartitionStats {
-    /// Partitions actually used (after clamping to the point count).
+    /// Partitions actually used: stripes clamped to the point count, or
+    /// cell ranges clamped to the occupied cells; at least one.
     pub partitions: usize,
-    /// Total points replicated into halos across all partitions.
+    /// The sum of `partition_halo`.
     pub halo_points: u64,
-    /// Per-partition wall time: the private index build and the owned
-    /// points' queries, or on the grid kernel the private grid and the
-    /// owned points' core decisions.
+    /// Per-partition wall time: a stripe's private index build and its
+    /// owned points' queries, or a cell range's core decisions.
     pub partition_times: Vec<Duration>,
-    /// Points owned by each partition.
+    /// Points owned by each partition: a stripe's own points, or the
+    /// points in a cell range's cells.
     pub partition_owned: Vec<usize>,
-    /// Halo points replicated into each partition.
+    /// Each partition's halo: the points a stripe copies in from within
+    /// ε of its coordinate range, or the points of other ranges' cells
+    /// that a cell range's candidate cells reach, read in place. Zero
+    /// with one partition.
     pub partition_halo: Vec<usize>,
     /// Cross-partition core–core unions the merge makes after every
     /// partition has united its own cores: the merge messages a
@@ -183,10 +193,9 @@ impl Layout {
 
     /// Runs `work(sub, ids, owned)` on every stripe — `sub` holds the
     /// stripe's and its halo's points, `ids` their ids in `data`, and
-    /// `owned` the stripe's own points as ids in `sub` — one stripe per
-    /// worker on up to `threads` workers (`0` = all cores). Returns the
-    /// outputs in stripe order and records each stripe's wall time in
-    /// `stats`.
+    /// `owned` the stripe's own points as ids in `sub` — on
+    /// [`run_tasks`]' workers. Returns the outputs in stripe order and
+    /// records each stripe's wall time in `stats`.
     fn run<T: Send>(
         &self,
         data: &Dataset,
@@ -194,44 +203,12 @@ impl Layout {
         stats: &mut PartitionStats,
         work: impl Fn(&Dataset, &[u32], Range<u32>) -> T + Sync,
     ) -> Vec<T> {
-        let run_stripe = |s: &Stripe| {
-            let t0 = Instant::now();
+        let outs = run_tasks(self.stripes.len(), threads, |t| {
+            let s = &self.stripes[t];
             let ids = &self.order[s.halo_start..s.halo_end];
             let owned = (s.own_start - s.halo_start) as u32..(s.own_end - s.halo_start) as u32;
-            let out = work(&data.subset(ids), ids, owned);
-            (out, t0.elapsed())
-        };
-        let workers = effective_threads(threads).min(self.stripes.len().max(1));
-        let outs: Vec<(T, Duration)> = if workers <= 1 {
-            self.stripes.iter().map(run_stripe).collect()
-        } else {
-            let slots: Vec<Mutex<Option<(T, Duration)>>> =
-                self.stripes.iter().map(|_| Mutex::new(None)).collect();
-            let cursor = Mutex::new(0usize);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let t = {
-                            let mut c = cursor.lock().expect("a partition worker panicked");
-                            let t = *c;
-                            *c += 1;
-                            t
-                        };
-                        let Some(s) = self.stripes.get(t) else { break };
-                        let out = run_stripe(s);
-                        *slots[t].lock().expect("a partition worker panicked") = Some(out);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("a partition worker panicked")
-                        .expect("every stripe was processed")
-                })
-                .collect()
-        };
+            work(&data.subset(ids), ids, owned)
+        });
         outs.into_iter()
             .zip(&self.stripes)
             .map(|((out, took), s)| {
@@ -276,6 +253,55 @@ impl Layout {
         }
         out
     }
+}
+
+/// Runs `work(t)` for every task `t` in `0..tasks` — a stripe or a cell
+/// range — on up to `threads` workers (`0` = all cores), the calling
+/// thread one of them, each taking the next task from one shared cursor.
+/// Returns every task's output and wall time, in task order.
+fn run_tasks<T: Send>(
+    tasks: usize,
+    threads: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> Vec<(T, Duration)> {
+    let timed = |t: usize| {
+        let t0 = Instant::now();
+        let out = work(t);
+        (out, t0.elapsed())
+    };
+    let workers = effective_threads(threads).min(tasks.max(1));
+    if workers <= 1 {
+        return (0..tasks).map(timed).collect();
+    }
+    let slots: Vec<Mutex<Option<(T, Duration)>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+    let cursor = Mutex::new(0usize);
+    let worker = || loop {
+        let t = {
+            let mut c = cursor.lock().expect("a partition worker panicked");
+            let t = *c;
+            *c += 1;
+            t
+        };
+        if t >= tasks {
+            break;
+        }
+        let out = timed(t);
+        *slots[t].lock().expect("a partition worker panicked") = Some(out);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("a partition worker panicked")
+                .expect("every task was run")
+        })
+        .collect()
 }
 
 /// Computes every point's closed ε-neighborhood through per-partition
@@ -341,11 +367,11 @@ pub fn partitioned_dbscan(
 /// Partitioned variant of [`crate::par_dbscan::par_dbscan_with_scp`]:
 /// identical labels, and the specific-core-point representatives of a
 /// sequential run whose index answers in ascending id order — see the
-/// module docs. Where the grid count-and-claim kernel applies, the
-/// stripes decide core flags on grids and `kind` goes unused; otherwise
-/// they gather lists through `kind`'s indexes. Either way the index work
-/// lands in the optional `sheet` (work counters) and `hist` (one
-/// latency sample per point).
+/// module docs. Where the grid count-and-claim kernel applies, cell
+/// ranges of one site grid decide the core flags and `kind` goes unused;
+/// otherwise stripes gather lists through `kind`'s indexes. Either way
+/// the index work lands in the optional `sheet` (work counters) and
+/// `hist` (one latency sample per point).
 #[allow(clippy::too_many_arguments)]
 pub fn partitioned_dbscan_with_scp_observed(
     data: &Dataset,
@@ -364,14 +390,24 @@ pub fn partitioned_dbscan_with_scp_observed(
         let result = enhanced_dbscan(data, params, &neighbors[..], SeedOrder::Ascending);
         return (result, stats);
     };
-    let (layout, mut stats) = Layout::new(data, params.eps, partitions);
-    let flags = layout.run(data, threads, &mut stats, |sub, _, owned| {
-        let (flags, work) = core_flags(sub, owned, cells, params.min_pts, hist);
+    let grid = cells.grid(data);
+    let lattice = Lattice::new(&grid, data, cells);
+    let ranges = lattice.ranges(partitions);
+    let decided = run_tasks(ranges.len(), threads, |t| {
+        let (flags, work) = lattice.core_flags(ranges[t].clone(), params.min_pts, hist);
         work.record(sheet);
         flags
     });
-    let grid = cells.grid(data);
-    let mut claims = Claims::new(&grid, data, cells, layout.scatter(flags));
+    let partition_halo: Vec<usize> = ranges.iter().map(|r| lattice.halo(r.clone())).collect();
+    let stats = PartitionStats {
+        partitions: ranges.len(),
+        halo_points: partition_halo.iter().sum::<usize>() as u64,
+        partition_times: decided.iter().map(|&(_, took)| took).collect(),
+        partition_owned: ranges.iter().map(|r| lattice.points(r.clone())).collect(),
+        partition_halo,
+        merge_edges: 0,
+    };
+    let mut claims = Claims::new(lattice, decided.into_iter().flat_map(|(flags, _)| flags));
     let result = enhanced_dbscan(data, params, &mut claims, SeedOrder::Ascending);
     claims.work.record(sheet);
     (result, stats)

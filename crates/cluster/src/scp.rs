@@ -28,8 +28,9 @@
 //! lists in that same order. The partitioned layer runs it in ascending
 //! id order, sorting only the seeds each expansion claims: in up to
 //! [`crate::count_claim::MAX_DIM`] dimensions at f64, over the grid
-//! count-and-claim kernel ([`mod@crate::count_claim`]), which decides
-//! core flags on grid cells and scans only the open members of each
+//! count-and-claim kernel ([`mod@crate::count_claim`]), whose one grid
+//! per site decides the core flags beforehand, cell range by cell range,
+//! and then serves this pass, scanning only the open members of each
 //! cell; otherwise over gathered lists. Both partitioned sources give
 //! the same result.
 

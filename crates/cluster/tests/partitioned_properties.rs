@@ -6,7 +6,9 @@
 //! specific core points are pinned too, against a sequential run over a
 //! linear scan: the data sets lie on both sides of the grid kernel's
 //! dimension cut, so the oracle pins both the kernel and the list
-//! engine. Fixed cases probe the kernel's floating-point guard.
+//! engine. Fixed cases probe the kernel's floating-point guard, its
+//! cell ranges on degenerate sites, and that its work counters do not
+//! depend on the split.
 
 use dbdc_cluster::count_claim::{GUARD, MAX_CELLS_FROM_ORIGIN, MAX_DIM};
 use dbdc_cluster::{
@@ -15,7 +17,9 @@ use dbdc_cluster::{
 };
 use dbdc_geom::{Dataset, Euclidean, Precision};
 use dbdc_index::{build_index, IndexKind, LinearScan};
+use dbdc_obs::CounterSheet;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
     // Clumps plus uniform background in 2 to MAX_DIM + 1 dimensions, so
@@ -215,6 +219,205 @@ fn coordinates_too_large_for_the_guard_fall_back_and_match_the_oracle() {
         for origin in [0.9 * MAX_CELLS_FROM_ORIGIN * side, 1e12, -3e15] {
             let d = diagonal_pairs(dim, origin, step, 7.3 * eps, 40);
             assert_partitioned_equals_oracle(&d, eps, 2, &format!("{dim}-d pairs at {origin}"));
+        }
+    }
+}
+
+/// The partitioned enhanced DBSCAN on a site the grid kernel runs, at
+/// 2/3/7 partitions × 1/2 threads: its `ScpResult` equals the linear-scan
+/// oracle's, each cell range owns its points once and has one time, and
+/// the halo is 0 exactly when there is one range (the sites here keep
+/// their occupied cells adjacent). Returns the range counts, by call.
+fn assert_kernel_site(data: &Dataset, eps: f64, min_pts: usize, case: &str) -> Vec<usize> {
+    let params = DbscanParams::new(eps, min_pts);
+    let oracle = dbscan_with_scp(data, &LinearScan::new(data, Euclidean), &params);
+    let mut ranges = Vec::new();
+    for partitions in [2usize, 3, 7] {
+        for threads in [1usize, 2] {
+            let (part, stats) = partitioned_dbscan_with_scp_observed(
+                data,
+                IndexKind::Grid,
+                &params,
+                partitions,
+                threads,
+                Precision::F64,
+                None,
+                None,
+            );
+            let at = format!("{case}: {partitions} partitions, {threads} threads");
+            assert_eq!(oracle.dbscan.clustering, part.dbscan.clustering, "{at}");
+            assert_eq!(oracle.dbscan.core, part.dbscan.core, "{at}");
+            assert_eq!(
+                oracle.dbscan.range_queries, part.dbscan.range_queries,
+                "{at}"
+            );
+            assert_eq!(oracle.scp, part.scp, "{at}");
+            assert_eq!(
+                stats.partition_owned.iter().sum::<usize>(),
+                data.len(),
+                "{at}"
+            );
+            assert_eq!(stats.partition_times.len(), stats.partitions, "{at}");
+            assert_eq!(stats.partition_owned.len(), stats.partitions, "{at}");
+            assert_eq!(
+                stats.halo_points,
+                stats.partition_halo.iter().sum::<usize>() as u64,
+                "{at}"
+            );
+            assert_eq!(stats.halo_points == 0, stats.partitions == 1, "{at}");
+            ranges.push(stats.partitions);
+        }
+    }
+    ranges
+}
+
+/// The kernel's cell side for `eps` in `dim` dimensions.
+fn side(eps: f64, dim: usize) -> f64 {
+    eps / (dim as f64).sqrt() * GUARD
+}
+
+#[test]
+fn empty_and_single_point_sites_run_one_range() {
+    for dim in 1..=MAX_DIM {
+        let empty = Dataset::new(dim);
+        assert!(assert_kernel_site(&empty, 1.0, 2, "empty")
+            .iter()
+            .all(|&r| r == 1));
+        let one = Dataset::from_flat(dim, vec![0.25; dim]);
+        for min_pts in [1, 2] {
+            let ranges = assert_kernel_site(&one, 1.0, min_pts, "one point");
+            assert!(ranges.iter().all(|&r| r == 1));
+        }
+    }
+}
+
+#[test]
+fn duplicates_in_one_cell_clamp_to_one_range() {
+    for dim in 1..=MAX_DIM {
+        let s = side(1.0, dim);
+        let mut d = Dataset::new(dim);
+        for k in 0..40 {
+            // Copies of three points strictly inside one cell.
+            let x = s * (0.25 + 0.25 * (k % 3) as f64);
+            d.push(&vec![x; dim]);
+        }
+        for min_pts in [1, 5, 41] {
+            let ranges = assert_kernel_site(&d, 1.0, min_pts, "one cell");
+            assert!(ranges.iter().all(|&r| r == 1), "{dim}-d: {ranges:?}");
+        }
+    }
+}
+
+#[test]
+fn min_pts_one_makes_every_point_core() {
+    for dim in 1..=MAX_DIM {
+        let mut d = Dataset::new(dim);
+        for i in 0..150 {
+            let t = i as f64 * 0.11;
+            let p: Vec<f64> = (0..dim).map(|a| t + (t * (2.0 + a as f64)).sin()).collect();
+            d.push(&p);
+        }
+        assert_kernel_site(&d, 0.5, 1, &format!("{dim}-d, MinPts 1"));
+        let params = DbscanParams::new(0.5, 1);
+        let (r, _) = partitioned_dbscan_with_scp_observed(
+            &d,
+            IndexKind::Grid,
+            &params,
+            3,
+            2,
+            Precision::F64,
+            None,
+            None,
+        );
+        assert!(r.dbscan.core.iter().all(|&c| c));
+    }
+}
+
+#[test]
+fn more_partitions_than_occupied_cells_clamp_to_the_cells() {
+    for dim in 1..=MAX_DIM {
+        // Three adjacent cells along axis 0, four points in each.
+        let s = side(1.0, dim);
+        let mut d = Dataset::new(dim);
+        for cell in 0..3 {
+            for k in 0..4 {
+                let mut p = vec![0.5 * s; dim];
+                p[0] = s * (cell as f64 + 0.2 * (k + 1) as f64);
+                d.push(&p);
+            }
+        }
+        for min_pts in [3, 6] {
+            let ranges = assert_kernel_site(&d, 1.0, min_pts, &format!("{dim}-d, 3 cells"));
+            // 2, 3 and 7 partitions, each at 1 and 2 threads.
+            assert_eq!(ranges, [2, 2, 3, 3, 3, 3], "{dim}-d");
+        }
+    }
+}
+
+#[test]
+fn a_range_boundary_may_split_a_row_of_cells() {
+    // One row of cells along axis 0: every range is part of that row.
+    for dim in 2..=MAX_DIM {
+        let mut d = Dataset::new(dim);
+        for i in 0..300 {
+            let mut p = vec![0.1; dim];
+            p[0] = i as f64 * 0.07;
+            d.push(&p);
+        }
+        for (eps, min_pts) in [(0.3, 4), (0.3, 12), (1.0, 20)] {
+            let ranges = assert_kernel_site(&d, eps, min_pts, &format!("{dim}-d row"));
+            assert_eq!(ranges, [2, 2, 3, 3, 7, 7], "{dim}-d");
+        }
+    }
+}
+
+#[test]
+fn kernel_counters_do_not_depend_on_the_split() {
+    // Every core decision scans the same cells of the one site lattice
+    // in the same order, whatever the cell ranges and workers.
+    for dim in 1..=MAX_DIM {
+        let mut d = Dataset::new(dim);
+        for i in 0..900 {
+            let t = i as f64 * 0.013;
+            let blob = (i % 3) as f64 * 6.0;
+            let p: Vec<f64> = (0..dim)
+                .map(|a| blob + (t * (3.0 + a as f64)).sin() * 2.0 + (t * 7.1).cos() * 0.3)
+                .collect();
+            d.push(&p);
+        }
+        let params = DbscanParams::new(0.4, 6);
+        let mut first = None;
+        for partitions in [2usize, 3, 7] {
+            for threads in [1usize, 2] {
+                let sheet = Arc::new(CounterSheet::new());
+                let (r, stats) = partitioned_dbscan_with_scp_observed(
+                    &d,
+                    IndexKind::Grid,
+                    &params,
+                    partitions,
+                    threads,
+                    Precision::F64,
+                    Some(&sheet),
+                    None,
+                );
+                assert_eq!(stats.partitions, partitions);
+                let c = sheet.snapshot();
+                assert!(c.range_queries > 0 && c.distance_evals > 0 && c.node_visits > 0);
+                let seen = (
+                    (c.range_queries, c.distance_evals, c.node_visits),
+                    r.dbscan.clustering,
+                    r.dbscan.core,
+                    r.dbscan.range_queries,
+                    r.scp,
+                );
+                match &first {
+                    None => first = Some(seen),
+                    Some(want) => assert_eq!(
+                        want, &seen,
+                        "{dim}-d: {partitions} partitions, {threads} threads"
+                    ),
+                }
+            }
         }
     }
 }

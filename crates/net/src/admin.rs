@@ -32,18 +32,23 @@
 //!
 //! [`TelemetrySnapshot`]: dbdc_obs::TelemetrySnapshot
 
-use std::io::{self, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dbdc_obs::SnapshotEngine;
 
 use crate::accept::AcceptLoop;
 
-/// How long a connection may dribble its request/response before the
-/// responder gives up on it.
+/// How long a connection may dribble its response before the responder
+/// gives up on it.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long a client may take to send its whole request head. The
+/// responder serves one connection at a time, so this bounds how long
+/// one slow client keeps every other scrape waiting.
+const HEAD_DEADLINE: Duration = Duration::from_secs(1);
 
 /// What the admin endpoints serve, bundled by the binary that owns the
 /// run.
@@ -68,7 +73,7 @@ impl AdminServer {
         let listener = TcpListener::bind(addr)?;
         let acceptor = AcceptLoop::spawn(listener, "dbdc-admin", Arc::default(), move |stream| {
             // Inline handling: admin requests are tiny and rare, and a
-            // slow client is bounded by IO_TIMEOUT.
+            // slow client is bounded by HEAD_DEADLINE and IO_TIMEOUT.
             let _ = handle_connection(stream, &state);
         })?;
         Ok(AdminServer { acceptor })
@@ -86,21 +91,37 @@ impl AdminServer {
 }
 
 fn handle_connection(mut stream: TcpStream, state: &AdminState) -> io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
 
-    // Read until the request head is complete (blank line); the admin
-    // API is GET-only so there is never a body to consume.
+    // Read until the request head is complete (blank line), within one
+    // deadline for the whole head; the admin API is GET-only so there
+    // is never a body to consume.
+    let deadline = Instant::now() + HEAD_DEADLINE;
     let mut head = Vec::with_capacity(256);
     let mut buf = [0u8; 512];
-    while !head.windows(4).any(|w| w == b"\r\n\r\n") && !head.windows(2).any(|w| w == b"\n\n") {
-        let n = stream.read(&mut buf)?;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return respond(&mut stream, 408, "text/plain", "request head too slow\n");
+        }
+        stream.set_read_timeout(Some(left))?;
+        let n = match stream.read(&mut buf) {
+            Ok(n) => n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
+            Err(e) => return Err(e),
+        };
         if n == 0 {
             break;
         }
+        // A blank line split across reads starts at most 3 bytes back.
+        let from = head.len().saturating_sub(3);
         head.extend_from_slice(&buf[..n]);
         if head.len() > 8192 {
             return respond(&mut stream, 400, "text/plain", "request too large\n");
+        }
+        let fresh = &head[from..];
+        if fresh.windows(4).any(|w| w == b"\r\n\r\n") || fresh.windows(2).any(|w| w == b"\n\n") {
+            break;
         }
     }
     let request = String::from_utf8_lossy(&head);
@@ -141,6 +162,7 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         503 => "Service Unavailable",
         _ => "Error",
     };
@@ -270,6 +292,54 @@ mod tests {
             .recv_timeout(Duration::from_secs(30))
             .expect("shutdown of an admin plane no client reached returned");
         stopper.join().expect("shutdown thread panicked");
+    }
+
+    #[test]
+    fn a_trickling_client_cannot_hold_the_admin_plane() {
+        let (admin, _rec) = spawn_admin(true);
+        let addr = admin.addr();
+        // Connected first, so the responder takes it before the scrape.
+        let mut trickler = TcpStream::connect(addr).expect("trickler connects");
+        trickler.write_all(b"G").expect("first byte");
+        let done = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&done);
+        let dribble = std::thread::spawn(move || {
+            // One byte of a request line that never ends, every 100 ms
+            // for up to 10 s; the socket stays open until joined.
+            for _ in 0..100 {
+                std::thread::sleep(Duration::from_millis(100));
+                if stop.load(Ordering::Relaxed) || trickler.write_all(b"x").is_err() {
+                    break;
+                }
+            }
+            trickler
+        });
+        let t0 = Instant::now();
+        let answer = http_get(&addr.to_string(), "/healthz", Duration::from_secs(15));
+        let took = t0.elapsed();
+        done.store(true, Ordering::Relaxed);
+        let trickler = dribble.join().expect("trickler panicked");
+        assert_eq!(answer.expect("/healthz answers").0, 200);
+        assert!(
+            took < HEAD_DEADLINE + Duration::from_secs(1),
+            "/healthz took {took:?} beside a trickling client"
+        );
+        drop(trickler);
+        admin.shutdown();
+    }
+
+    #[test]
+    fn a_head_split_across_reads_is_served() {
+        let (admin, _rec) = spawn_admin(true);
+        let mut stream = TcpStream::connect(admin.addr()).unwrap();
+        for part in [&b"GET /healthz HTTP/1.0\r\n\r"[..], b"\n"] {
+            stream.write_all(part).unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        assert!(out.starts_with("HTTP/1.0 200"), "{out}");
+        admin.shutdown();
     }
 
     #[test]

@@ -131,8 +131,10 @@ counters! {
     quality_noise_distr_only,
     /// Objects flagged noise only by the central reference clustering.
     quality_noise_central_only,
-    /// Halo points replicated across partition borders by the
-    /// partitioned local phase (sum over partitions).
+    /// Halo points of the partitioned local phase, summed over its
+    /// partitions: the points a stripe copies in from within ε of it, or
+    /// on the grid kernel the points of other cell ranges' cells that a
+    /// range's candidate cells reach, read in place.
     halo_points,
 }
 

@@ -354,7 +354,6 @@ impl Histogram {
 #[derive(Debug)]
 pub struct HistSheet {
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -371,7 +370,6 @@ impl HistSheet {
     pub fn new() -> HistSheet {
         HistSheet {
             buckets: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -381,7 +379,6 @@ impl HistSheet {
     /// Records one sample.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
@@ -392,13 +389,16 @@ impl HistSheet {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// The current totals as a plain histogram.
+    /// The current totals as a plain histogram. Its `count` is the sum
+    /// of the buckets it read, so a snapshot of a live sheet always
+    /// passes the exposition parsers' check that the buckets sum to the
+    /// count; its `sum`, `min` and `max` may still tear by a sample.
     pub fn snapshot(&self) -> Histogram {
         let mut h = Histogram::new();
         for (b, a) in h.buckets.iter_mut().zip(&self.buckets) {
             *b = a.load(Ordering::Relaxed);
         }
-        h.count = self.count.load(Ordering::Relaxed);
+        h.count = h.buckets.iter().sum();
         h.sum = self.sum.load(Ordering::Relaxed);
         h.max = self.max.load(Ordering::Relaxed);
         let min = self.min.load(Ordering::Relaxed);
