@@ -26,11 +26,9 @@ const THREADS: Flag = Flag::value("threads", "T", "DBSCAN worker threads; 1 = se
     (default), 0 = all cores. The clustering is identical for every value");
 const PARTITIONS: Flag = Flag::value("partitions", "P", "spatial partitions per site's local \
     phase; 1 = one index over the whole shard (default), 0 = one partition per worker thread. \
-    Each partition is an ε-halo'd stripe along the shard's widest-spread axis with its own \
-    private index; labels are identical for every value");
-const PRECISION: Flag = Flag::value("precision", "f64|f32", "index coordinate precision \
-    (default f64). f32 halves the scan bandwidth but is approximate near the ε boundary, so \
-    run also executes the f64 oracle and reports label agreement plus the DBCV delta");
+    In 1-3 dimensions a partition is a contiguous range of the occupied cells of the site's one \
+    grid; above that it is an ε-halo'd stripe along the shard's widest-spread axis with its own \
+    private index. Labels are identical for every value");
 
 // Outputs and observability.
 const LABELS_OUT: Flag = Flag::value("out", "FILE",
@@ -75,14 +73,14 @@ pub static RUN: Form = Form {
     summary: "the DBDC protocol over K simulated sites", about: "",
     flags: &[INPUT, EPS, MIN_PTS, SITES, MODEL, EPS_GLOBAL, PARTITIONER, SPLIT_SEED,
         Flag::switch("threaded", "run the sites concurrently, one thread each"),
-        THREADS, PARTITIONS, PRECISION, INDEX, LABELS_OUT, TRACE, METRICS_OUT, LINK, RUN_ID],
+        THREADS, PARTITIONS, INDEX, LABELS_OUT, TRACE, METRICS_OUT, LINK, RUN_ID],
 };
 
 pub static COMPARE: Form = Form {
     command: "compare", binary: None, operands: "",
     summary: "run central DBSCAN and DBDC and report the paper's quality measures", about: "",
     flags: &[INPUT, EPS, MIN_PTS, SITES, MODEL, EPS_GLOBAL, SPLIT_SEED, THREADS, PARTITIONS,
-        PRECISION, INDEX, TRACE, METRICS_OUT, LINK, RUN_ID],
+        INDEX, TRACE, METRICS_OUT, LINK, RUN_ID],
 };
 
 pub static TUNE: Form = Form {
@@ -156,7 +154,7 @@ pub static SITE: Form = Form {
     flags: &[INPUT,
         Flag::required("site", "I", "this site's number, 0..K-1"),
         SITES, EPS, MIN_PTS, CONNECT, POLL_ADDR_FILE, WAIT_MS, PARTITIONER, SPLIT_SEED, MODEL,
-        EPS_GLOBAL, INDEX, THREADS, PARTITIONS, PRECISION,
+        EPS_GLOBAL, INDEX, THREADS, PARTITIONS,
         Flag::value("retries", "N", "session attempts (default 5)"),
         Flag::value("retry-base-ms", "N", "first backoff delay (default 50)"),
         Flag::value("retry-max-ms", "N", "backoff ceiling (default 800)"),

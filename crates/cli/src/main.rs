@@ -11,7 +11,7 @@
 use dbdc::observe::cluster_stats;
 use dbdc::{
     central_dbscan_recorded, dbdc_run_report, q_dbdc, run_dbdc_recorded,
-    run_dbdc_threaded_recorded, DbdcParams, EpsGlobal, ObjectQuality,
+    run_dbdc_threaded_recorded, EpsGlobal, ObjectQuality,
 };
 use dbdc_cli::args::{Args, Form};
 use dbdc_cli::flags;
@@ -190,15 +190,11 @@ fn cmd_run(args: &Args) -> CliResult {
     let wants = wants_report(args);
     let rec = RecordingRecorder::new();
     let recorder: &dyn Recorder = if wants { &rec } else { &NoopRecorder };
-    let threaded = args.switch("threaded");
-    let run = |params: &DbdcParams, rec: &dyn Recorder| {
-        if threaded {
-            run_dbdc_threaded_recorded(&data, params, part, sites, rec)
-        } else {
-            run_dbdc_recorded(&data, params, part, sites, rec)
-        }
+    let outcome = if args.switch("threaded") {
+        run_dbdc_threaded_recorded(&data, &params, part, sites, recorder)
+    } else {
+        run_dbdc_recorded(&data, &params, part, sites, recorder)
     };
-    let outcome = run(&params, recorder);
     println!(
         "DBDC({}) over {sites} sites: {} clusters, {} noise",
         params.model.name(),
@@ -222,21 +218,6 @@ fn cmd_run(args: &Args) -> CliResult {
         fmt_ms(outcome.timings.global),
         fmt_ms(outcome.timings.dbdc_total())
     );
-    // --precision f32 is approximate near the ε boundary, so the run is
-    // judged against the bit-exact f64 oracle: the same data, partitioner,
-    // and parameters, with only the scan precision flipped back.
-    let oracle = (params.precision == dbdc_index::Precision::F32).then(|| {
-        run(
-            &params.with_precision(dbdc_index::Precision::F64),
-            &NoopRecorder,
-        )
-    });
-    let agreement = oracle
-        .as_ref()
-        .map(|o| label_agreement(&outcome.assignment, &o.assignment));
-    if let Some(frac) = agreement {
-        println!("f32 vs f64 oracle: {:.2}% label agreement", 100.0 * frac);
-    }
     if wants {
         // DBCV is the ground-truth-free validity of the final labeling;
         // computed only when a report is requested (it reads the whole
@@ -255,57 +236,10 @@ fn cmd_run(args: &Args) -> CliResult {
             Some(link),
             args.get("run-id").map(String::from),
         );
-        if let (Some(frac), Some(o)) = (agreement, &oracle) {
-            let oracle_q = quality_stats(&data, &o.assignment, params.index, &NoopRecorder);
-            let delta = quality.dbcv - oracle_q.dbcv;
-            println!(
-                "f32 DBCV {:+.4} vs f64 oracle {:+.4} (delta {:+.4})",
-                quality.dbcv, oracle_q.dbcv, delta
-            );
-            report
-                .params
-                .push(("f32_label_agreement".into(), format!("{frac:.6}")));
-            report
-                .params
-                .push(("f32_dbcv_delta".into(), format!("{delta:+.6}")));
-        }
         report.quality = Some(quality);
         finish_report(args, &report)?;
     }
     write_output(args, &data, Some(&outcome.assignment))
-}
-
-/// Fraction of points on which two clusterings agree, under the greedy
-/// first-occurrence bijection between their cluster ids: noise must map
-/// to noise, and two clustered points agree only while the id mapping
-/// stays one-to-one in both directions.
-fn label_agreement(a: &dbdc_geom::Clustering, b: &dbdc_geom::Clustering) -> f64 {
-    use std::collections::HashMap;
-    assert_eq!(
-        a.labels().len(),
-        b.labels().len(),
-        "clusterings must cover the same points"
-    );
-    if a.labels().is_empty() {
-        return 1.0;
-    }
-    let mut fwd: HashMap<u32, u32> = HashMap::new();
-    let mut rev: HashMap<u32, u32> = HashMap::new();
-    let mut same = 0usize;
-    for (la, lb) in a.labels().iter().zip(b.labels()) {
-        match (la.cluster(), lb.cluster()) {
-            (None, None) => same += 1,
-            (Some(ca), Some(cb)) => {
-                let f = *fwd.entry(ca).or_insert(cb);
-                let r = *rev.entry(cb).or_insert(ca);
-                if f == cb && r == ca {
-                    same += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    same as f64 / a.labels().len() as f64
 }
 
 fn cmd_compare(args: &Args) -> CliResult {

@@ -161,7 +161,7 @@ pub fn parse_partitioner(args: &Args) -> Result<Partitioner, Box<dyn std::error:
 }
 
 /// Builds the full [`DbdcParams`] from `--eps`, `--min-pts`, and the
-/// optional eps-global/model/index/threads/partitions/precision flags.
+/// optional eps-global/model/index/threads/partitions flags.
 pub fn build_params(args: &Args) -> Result<DbdcParams, Box<dyn std::error::Error>> {
     let eps_global = match args.get("eps-global") {
         None => EpsGlobal::MultipleOfLocal(2.0),
@@ -175,12 +175,10 @@ pub fn build_params(args: &Args) -> Result<DbdcParams, Box<dyn std::error::Error
     let index: dbdc_index::IndexKind = args.get_or("index", dbdc_index::IndexKind::RStar)?;
     let threads: usize = args.get_or("threads", 1)?;
     let partitions: usize = args.get_or("partitions", 1)?;
-    let precision: dbdc_index::Precision = args.get_or("precision", dbdc_index::Precision::F64)?;
     Ok(local_params(args)?
         .with_eps_global(eps_global)
         .with_model(model)
         .with_index(index)
         .with_threads(threads)
-        .with_partitions(partitions)
-        .with_precision(precision))
+        .with_partitions(partitions))
 }

@@ -231,6 +231,22 @@ fn bad_usage_exits_nonzero_with_message() {
         argv.extend(extra);
         argv
     };
+    let compare = [&["compare"][..], &protocol[..]].concat();
+    let site = [
+        "--input",
+        input,
+        "--site",
+        "0",
+        "--sites",
+        "2",
+        "--eps",
+        "1.6",
+        "--min-pts",
+        "5",
+        "--connect",
+        "127.0.0.1:9",
+    ];
+    let precision = ["--precision", "f32"];
     let mut stream = vec!["stream"];
     stream.extend(protocol);
     let mut stream_batch = stream.clone();
@@ -238,6 +254,12 @@ fn bad_usage_exits_nonzero_with_message() {
     stream.extend(["--seed", "5"]);
     let strict: Vec<(Vec<&str>, &str)> = vec![
         (run(&["--threads", "--partitions", "2"]), "--threads"),
+        (run(&precision), "--precision"),
+        ([&compare[..], &precision[..]].concat(), "--precision"),
+        (
+            [&["site"][..], &site[..], &precision[..]].concat(),
+            "--precision",
+        ),
         (run(&["--seed"]), "--seed"),
         (run(&["--eps", "99"]), "--eps"),
         (run(&["--trace", "yes"]), "\"yes\""),
@@ -285,6 +307,14 @@ fn bad_usage_exits_nonzero_with_message() {
         assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
         assert!(stderr.contains(needle), "{argv:?}: {stderr}");
     }
+    let out = Command::new(env!("CARGO_BIN_EXE_dbdc-site"))
+        .args(site)
+        .args(precision)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--precision"), "{stderr}");
     assert!(!svg.exists(), "a rejected plot wrote its SVG");
     let _ = std::fs::remove_file(&csv);
 

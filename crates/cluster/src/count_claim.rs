@@ -44,7 +44,7 @@
 //!
 //! # When it runs
 //!
-//! A site runs the kernel at f64 precision in `1..=`[`MAX_DIM`]
+//! A site runs the kernel in `1..=`[`MAX_DIM`]
 //! dimensions when its coordinates lie within [`MAX_CELLS_FROM_ORIGIN`]
 //! cells of the origin and `ε²` is a normal float with room to spare.
 //! The cells a neighbourhood spans grow like `(2√d + 1)^d`; above the
@@ -69,7 +69,7 @@
 
 use crate::scp::Neighborhoods;
 use dbdc_geom::metric::BATCH_LANES;
-use dbdc_geom::{Dataset, Euclidean, Metric, Precision};
+use dbdc_geom::{Dataset, Euclidean, Metric};
 use dbdc_index::{GridCell, GridIndex};
 use dbdc_obs::{Counter, CounterSheet, HistSheet};
 use std::ops::Range;
@@ -102,13 +102,12 @@ pub(crate) struct Cells {
 
 impl Cells {
     /// The kernel's grid for clustering `data` at `eps`, or `None` when
-    /// the kernel does not apply: f32 precision, more than [`MAX_DIM`]
-    /// dimensions, a coordinate farther than [`MAX_CELLS_FROM_ORIGIN`]
-    /// cells from the origin, or an `ε²` that is not a normal float with
-    /// room to spare.
-    pub(crate) fn fit(data: &Dataset, eps: f64, precision: Precision) -> Option<Cells> {
+    /// the kernel does not apply: more than [`MAX_DIM`] dimensions, a
+    /// coordinate farther than [`MAX_CELLS_FROM_ORIGIN`] cells from the
+    /// origin, or an `ε²` that is not a normal float with room to spare.
+    pub(crate) fn fit(data: &Dataset, eps: f64) -> Option<Cells> {
         let dim = data.dim();
-        if precision != Precision::F64 || dim == 0 || dim > MAX_DIM {
+        if dim == 0 || dim > MAX_DIM {
             return None;
         }
         let side = eps / (dim as f64).sqrt() * GUARD;
@@ -536,10 +535,9 @@ mod tests {
     #[test]
     fn fit_admits_low_dimensions_at_f64_only() {
         let d = line(&[0.0, 1.0, 2.0]);
-        assert!(Cells::fit(&d, 1.0, Precision::F64).is_some());
-        assert!(Cells::fit(&d, 1.0, Precision::F32).is_none());
+        assert!(Cells::fit(&d, 1.0).is_some());
         let wide = Dataset::from_flat(MAX_DIM + 1, vec![0.0; MAX_DIM + 1]);
-        assert!(Cells::fit(&wide, 1.0, Precision::F64).is_none());
+        assert!(Cells::fit(&wide, 1.0).is_none());
     }
 
     /// Points on a wiggly curve through `dim`-space, `per` to a unit.
@@ -559,7 +557,7 @@ mod tests {
     fn ranges_split_the_cells_and_halos_are_the_runs_outside() {
         for dim in 1..=MAX_DIM {
             let d = curve(dim, 600);
-            let cells = Cells::fit(&d, 0.4, Precision::F64).expect("fits");
+            let cells = Cells::fit(&d, 0.4).expect("fits");
             let grid = cells.grid(&d);
             let lattice = Lattice::new(&grid, &d, cells);
             let n_cells = lattice.cells.len();
@@ -593,14 +591,14 @@ mod tests {
     #[test]
     fn ranges_balance_points_and_clamp_to_the_cells() {
         let empty = Dataset::new(2);
-        let cells = Cells::fit(&empty, 1.0, Precision::F64).expect("fits");
+        let cells = Cells::fit(&empty, 1.0).expect("fits");
         let grid = cells.grid(&empty);
         let lattice = Lattice::new(&grid, &empty, cells);
         assert_eq!(lattice.ranges(4), vec![0..0]);
         assert_eq!(lattice.halo(0..0), 0);
 
         let d = curve(2, 2000);
-        let cells = Cells::fit(&d, 0.3, Precision::F64).expect("fits");
+        let cells = Cells::fit(&d, 0.3).expect("fits");
         let grid = cells.grid(&d);
         let lattice = Lattice::new(&grid, &d, cells);
         let largest = lattice.cells.iter().map(|c| c.ids.len()).max().unwrap();
@@ -619,10 +617,10 @@ mod tests {
     fn fit_rejects_what_the_guard_cannot_cover() {
         let d = line(&[0.0, 1.0]);
         // ε² underflows or overflows, or a coordinate lies past 2³⁰ cells.
-        assert!(Cells::fit(&d, 1e-160, Precision::F64).is_none());
-        assert!(Cells::fit(&d, 1e160, Precision::F64).is_none());
+        assert!(Cells::fit(&d, 1e-160).is_none());
+        assert!(Cells::fit(&d, 1e160).is_none());
         let far = line(&[0.0, 2f64.powi(31)]);
-        assert!(Cells::fit(&far, 1.0, Precision::F64).is_none());
-        assert!(Cells::fit(&far, 4.0, Precision::F64).is_some());
+        assert!(Cells::fit(&far, 1.0).is_none());
+        assert!(Cells::fit(&far, 4.0).is_some());
     }
 }

@@ -1,37 +1,34 @@
 //! The one DBSCAN dispatch: how a run executes.
 //!
-//! [`Execution`] holds the four settings a DBSCAN run may vary — index
-//! backend, worker threads, spatial partitions, scan precision — and is
-//! the only place that turns them into a choice between the sequential
-//! algorithm ([`crate::dbscan::dbscan`] / [`crate::scp::dbscan_with_scp`]),
-//! the parallel layer ([`mod@crate::par_dbscan`]) and the partitioned one
+//! [`Execution`] holds the three settings a DBSCAN run may vary — index
+//! backend, worker threads, spatial partitions — and is the only place
+//! that turns them into a choice between the sequential algorithm
+//! ([`crate::dbscan::dbscan`] / [`crate::scp::dbscan_with_scp`]), the
+//! parallel layer ([`mod@crate::par_dbscan`]) and the partitioned one
 //! ([`mod@crate::partitioned`]). Every choice yields the same labels; only
 //! a partitioned run's specific core points may differ: they follow
 //! ascending ids rather than the backend's answer order (see
 //! [`mod@crate::partitioned`]).
 //!
-//! The partitioned branch of [`Execution::dbscan_with_scp`] is
+//! Only [`Execution::dbscan_with_scp`], the paper's local clustering,
+//! partitions. Its partitioned branch is
 //! [`crate::partitioned::partitioned_dbscan_with_scp_observed`], the
 //! function the benchmark's traced composition calls too. In up to
-//! [`crate::count_claim::MAX_DIM`] dimensions at f64 it runs the grid
+//! [`crate::count_claim::MAX_DIM`] dimensions it runs the grid
 //! count-and-claim kernel on one grid per site, whose cell ranges are
 //! the partitions, so `index` no longer changes that local work (its
-//! output already did not depend on `index`); above the cut, at f32, or
-//! when the coordinates outgrow the kernel's guard, it gathers lists
-//! through `index`, one stripe per partition. Unpartitioned runs, and
-//! [`Execution::dbscan`] on every path, query `index` as before.
+//! output already did not depend on `index`); above the cut, or when
+//! the coordinates outgrow the kernel's guard, it gathers lists through
+//! `index`, one stripe per partition. Unpartitioned runs, and
+//! [`Execution::dbscan`] always, query `index` as before.
 
 use crate::dbscan::{dbscan, DbscanParams, DbscanResult};
 use crate::par_dbscan::{cluster_from_neighborhoods, effective_threads, parallel_neighborhoods};
-use crate::partitioned::{
-    effective_partitions, partitioned_dbscan_with_scp_observed, partitioned_neighborhoods,
-    PartitionStats,
-};
+use crate::partitioned::{effective_partitions, partitioned_dbscan_with_scp_observed};
 use crate::scp::{dbscan_with_scp, enhanced_dbscan, ScpResult, SeedOrder};
 use dbdc_geom::{Dataset, Euclidean};
 use dbdc_index::{build_index_opts, BuildOptions, IndexKind, NeighborIndex, Precision};
-use dbdc_obs::{Counter, CounterSheet, HistSheet, Recorder};
-use std::sync::Arc;
+use dbdc_obs::{Counter, Recorder};
 use std::time::{Duration, Instant};
 
 /// How one DBSCAN run executes.
@@ -42,11 +39,10 @@ pub struct Execution {
     /// Worker threads: `1` runs the sequential algorithm, any other value
     /// the parallel layer, `0` meaning "all available cores".
     pub threads: usize,
-    /// Spatial partitions: `1` clusters through one index over all points,
-    /// `0` means "one partition per worker thread".
+    /// Spatial partitions of [`Execution::dbscan_with_scp`]: `1` clusters
+    /// through one index over all points, `0` means "one partition per
+    /// worker thread".
     pub partitions: usize,
-    /// Coordinate precision of the index scan path.
-    pub precision: Precision,
 }
 
 /// Wall times of one run.
@@ -63,10 +59,10 @@ pub struct ExecTimes {
 }
 
 impl Execution {
-    /// Plain DBSCAN. Index work lands in `rec`'s `scope` counters and
-    /// `{scope}/eps_range_ns` latencies; a parallel or partitioned merge
-    /// adds its union-find work to the counters and its batch sizes to
-    /// `{scope}/dsu_batch_ops`.
+    /// Plain DBSCAN over one index, whatever `partitions` says. Index
+    /// work lands in `rec`'s `scope` counters and `{scope}/eps_range_ns`
+    /// latencies; a parallel merge adds its union-find work to the
+    /// counters and its batch sizes to `{scope}/dsu_batch_ops`.
     pub fn dbscan(
         &self,
         data: &Dataset,
@@ -85,31 +81,20 @@ impl Execution {
                 batches.as_deref(),
             )
         };
-        self.run(
+        self.unpartitioned(
             data,
             params.eps,
             rec,
             scope,
             |index| dbscan(data, index, params),
             merge,
-            |partitions, sheet, hist| {
-                let (neighbors, stats, _) = partitioned_neighborhoods(
-                    data,
-                    self.index,
-                    params.eps,
-                    partitions,
-                    self.threads,
-                    self.precision,
-                    sheet,
-                    hist,
-                );
-                (merge(&neighbors), stats)
-            },
         )
     }
 
     /// DBSCAN with specific core points, the paper's local clustering,
-    /// recording index work like [`Execution::dbscan`].
+    /// recording index work like [`Execution::dbscan`]. Partitioned when
+    /// the partitions resolve above 1; a partitioned run adds its halo
+    /// points to the counters.
     pub fn dbscan_with_scp(
         &self,
         data: &Dataset,
@@ -117,36 +102,45 @@ impl Execution {
         rec: &dyn Recorder,
         scope: &str,
     ) -> (ScpResult, ExecTimes) {
-        self.run(
+        let partitions = effective_partitions(self.partitions, self.threads);
+        if partitions == 1 {
+            return self.unpartitioned(
+                data,
+                params.eps,
+                rec,
+                scope,
+                |index| dbscan_with_scp(data, index, params),
+                |neighbors| enhanced_dbscan(data, params, neighbors, SeedOrder::List),
+            );
+        }
+        let sheet = rec.sheet(scope);
+        let eps_hist = rec.hist(&format!("{scope}/eps_range_ns"));
+        let t0 = Instant::now();
+        let (result, stats) = partitioned_dbscan_with_scp_observed(
             data,
-            params.eps,
-            rec,
-            scope,
-            |index| dbscan_with_scp(data, index, params),
-            |neighbors| enhanced_dbscan(data, params, neighbors, SeedOrder::List),
-            |partitions, sheet, hist| {
-                partitioned_dbscan_with_scp_observed(
-                    data,
-                    self.index,
-                    params,
-                    partitions,
-                    self.threads,
-                    self.precision,
-                    sheet,
-                    hist,
-                )
-            },
-        )
+            self.index,
+            params,
+            partitions,
+            self.threads,
+            Precision::F64,
+            sheet.as_ref(),
+            eps_hist.as_ref(),
+        );
+        if let Some(s) = &sheet {
+            s.add_to(Counter::halo_points, stats.halo_points);
+        }
+        let times = ExecTimes {
+            build: Duration::ZERO,
+            cluster: t0.elapsed(),
+            partitions: stats.partition_times,
+        };
+        (result, times)
     }
 
-    /// The choice: partitioned when the partitions resolve above 1, else
-    /// one index, queried sequentially at `threads == 1` and in parallel
-    /// otherwise. A parallel run gathers every neighborhood first and
-    /// hands the lists to `merge`; a partitioned run is `partitioned`'s,
-    /// given the partition count and the scope's counter sheet and
-    /// latency histogram.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn run<R>(
+    /// One index over all points, queried sequentially at `threads == 1`
+    /// and in parallel otherwise. A parallel run gathers every
+    /// neighborhood first and hands the lists to `merge`.
+    fn unpartitioned<R>(
         &self,
         data: &Dataset,
         eps: f64,
@@ -154,31 +148,13 @@ impl Execution {
         scope: &str,
         sequential: impl FnOnce(&dyn NeighborIndex) -> R,
         merge: impl FnOnce(&[Vec<u32>]) -> R,
-        partitioned: impl FnOnce(
-            usize,
-            Option<&Arc<CounterSheet>>,
-            Option<&Arc<HistSheet>>,
-        ) -> (R, PartitionStats),
     ) -> (R, ExecTimes) {
         let sheet = rec.sheet(scope);
         let eps_hist = rec.hist(&format!("{scope}/eps_range_ns"));
         let t0 = Instant::now();
-        let partitions = effective_partitions(self.partitions, self.threads);
-        if partitions > 1 {
-            let (result, stats) = partitioned(partitions, sheet.as_ref(), eps_hist.as_ref());
-            if let Some(s) = &sheet {
-                s.add_to(Counter::halo_points, stats.halo_points);
-            }
-            let times = ExecTimes {
-                build: Duration::ZERO,
-                cluster: t0.elapsed(),
-                partitions: stats.partition_times,
-            };
-            return (result, times);
-        }
         let opts = BuildOptions {
             threads: effective_threads(self.threads),
-            precision: self.precision,
+            ..BuildOptions::default()
         };
         let index = build_index_opts(
             self.index,
@@ -230,7 +206,6 @@ mod tests {
             index: IndexKind::KdTree,
             threads,
             partitions,
-            precision: Precision::F64,
         }
     }
 
@@ -248,10 +223,10 @@ mod tests {
         let ascending_scp = dbscan_with_scp(&d, &linear, &params);
         for (threads, partitions) in [(1, 1), (2, 1), (0, 1), (1, 3), (2, 2), (2, 0)] {
             let e = exec(threads, partitions);
-            let (plain, times) = e.dbscan(&d, &params, &NoopRecorder, "s");
+            let (plain, _) = e.dbscan(&d, &params, &NoopRecorder, "s");
             assert_eq!(plain.clustering, seq.clustering, "{e:?}");
             assert_eq!(plain.core, seq.core, "{e:?}");
-            let (scp, _) = e.dbscan_with_scp(&d, &params, &NoopRecorder, "s");
+            let (scp, times) = e.dbscan_with_scp(&d, &params, &NoopRecorder, "s");
             assert_eq!(scp.dbscan.clustering, seq_scp.dbscan.clustering, "{e:?}");
             let partitioned = effective_partitions(partitions, threads) > 1;
             assert_eq!(!times.partitions.is_empty(), partitioned, "{e:?}");

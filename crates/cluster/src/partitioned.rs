@@ -37,8 +37,8 @@
 //! # Two sources for the specific core points
 //!
 //! Where [`mod@crate::count_claim`] applies — at most
-//! [`crate::count_claim::MAX_DIM`] dimensions, f64 precision, and
-//! coordinates the kernel's guard covers — nothing is striped, sorted or
+//! [`crate::count_claim::MAX_DIM`] dimensions and coordinates the
+//! kernel's guard covers — nothing is striped, sorted or
 //! copied. The site gets one grid and one lattice of candidate cells.
 //! Its occupied cells, in the grid's colex rank order, are split into
 //! `partitions` contiguous cell ranges of about equal point counts, and
@@ -319,16 +319,12 @@ pub(crate) fn partitioned_neighborhoods(
     eps: f64,
     partitions: usize,
     threads: usize,
-    precision: Precision,
     sheet: Option<&Arc<CounterSheet>>,
     hist: Option<&Arc<HistSheet>>,
 ) -> (Vec<Vec<u32>>, PartitionStats, Layout) {
     let (layout, mut stats) = Layout::new(data, eps, partitions);
     let lists = layout.run(data, threads, &mut stats, |sub, ids, owned| {
-        let opts = BuildOptions {
-            threads: 1,
-            precision,
-        };
+        let opts = BuildOptions::default();
         let index = build_index_opts(kind, sub, Euclidean, eps, opts, sheet, hist);
         let (mut buf, mut ws) = (Vec::new(), QueryWorkspace::new());
         owned
@@ -353,11 +349,9 @@ pub fn partitioned_dbscan(
     params: &DbscanParams,
     partitions: usize,
     threads: usize,
-    precision: Precision,
 ) -> (DbscanResult, PartitionStats) {
-    let (neighbors, mut stats, layout) = partitioned_neighborhoods(
-        data, kind, params.eps, partitions, threads, precision, None, None,
-    );
+    let (neighbors, mut stats, layout) =
+        partitioned_neighborhoods(data, kind, params.eps, partitions, threads, None, None);
     let result = cluster_from_neighborhoods(data.len(), &neighbors, params.min_pts, None, None);
     stats.merge_edges =
         layout.merge_edges(&neighbors, &result.core, result.clustering.n_clusters());
@@ -371,7 +365,8 @@ pub fn partitioned_dbscan(
 /// ranges of one site grid decide the core flags and `kind` goes unused;
 /// otherwise stripes gather lists through `kind`'s indexes. Either way
 /// the index work lands in the optional `sheet` (work counters) and
-/// `hist` (one latency sample per point).
+/// `hist` (one latency sample per point). `_precision` is always
+/// [`Precision::F64`] and goes unread.
 #[allow(clippy::too_many_arguments)]
 pub fn partitioned_dbscan_with_scp_observed(
     data: &Dataset,
@@ -379,14 +374,13 @@ pub fn partitioned_dbscan_with_scp_observed(
     params: &DbscanParams,
     partitions: usize,
     threads: usize,
-    precision: Precision,
+    _precision: Precision,
     sheet: Option<&Arc<CounterSheet>>,
     hist: Option<&Arc<HistSheet>>,
 ) -> (ScpResult, PartitionStats) {
-    let Some(cells) = Cells::fit(data, params.eps, precision) else {
-        let (neighbors, stats, _) = partitioned_neighborhoods(
-            data, kind, params.eps, partitions, threads, precision, sheet, hist,
-        );
+    let Some(cells) = Cells::fit(data, params.eps) else {
+        let (neighbors, stats, _) =
+            partitioned_neighborhoods(data, kind, params.eps, partitions, threads, sheet, hist);
         let result = enhanced_dbscan(data, params, &neighbors[..], SeedOrder::Ascending);
         return (result, stats);
     };
@@ -443,8 +437,7 @@ mod tests {
             let seq = dbscan(&d, &idx, &params);
             for kind in IndexKind::ALL {
                 for partitions in [1, 2, 3, 7] {
-                    let (par, stats) =
-                        partitioned_dbscan(&d, kind, &params, partitions, 2, Precision::F64);
+                    let (par, stats) = partitioned_dbscan(&d, kind, &params, partitions, 2);
                     assert_eq!(
                         seq.clustering, par.clustering,
                         "kind={kind:?} partitions={partitions} eps={eps}"
@@ -462,7 +455,7 @@ mod tests {
         let idx = LinearScan::new(&d, Euclidean);
         let eps = 1.2;
         let (nb, stats, _) =
-            partitioned_neighborhoods(&d, IndexKind::KdTree, eps, 4, 2, Precision::F64, None, None);
+            partitioned_neighborhoods(&d, IndexKind::KdTree, eps, 4, 2, None, None);
         assert!(stats.halo_points > 0, "ε-halos must replicate points");
         assert_eq!(
             stats.halo_points,
@@ -486,8 +479,7 @@ mod tests {
         for i in 0..400 {
             d.push(&[(i % 7) as f64 * 0.01, i as f64 * 0.5]);
         }
-        let (_, stats, _) =
-            partitioned_neighborhoods(&d, IndexKind::Grid, 1.0, 4, 2, Precision::F64, None, None);
+        let (_, stats, _) = partitioned_neighborhoods(&d, IndexKind::Grid, 1.0, 4, 2, None, None);
         let owned: usize = stats.partition_owned.iter().sum();
         assert_eq!(owned, d.len());
         assert!(
@@ -504,7 +496,7 @@ mod tests {
         let idx = LinearScan::new(&d, Euclidean);
         let params = DbscanParams::new(12.0, 3);
         let seq = dbscan(&d, &idx, &params);
-        let (par, stats) = partitioned_dbscan(&d, IndexKind::RStar, &params, 6, 3, Precision::F64);
+        let (par, stats) = partitioned_dbscan(&d, IndexKind::RStar, &params, 6, 3);
         assert_eq!(seq.clustering, par.clustering);
         assert!(stats.halo_points as usize > d.len() / 2);
     }
@@ -546,14 +538,14 @@ mod tests {
     fn empty_and_more_partitions_than_points() {
         let empty = Dataset::new(2);
         let params = DbscanParams::new(1.0, 2);
-        let (r, stats) = partitioned_dbscan(&empty, IndexKind::Grid, &params, 4, 2, Precision::F64);
+        let (r, stats) = partitioned_dbscan(&empty, IndexKind::Grid, &params, 4, 2);
         assert!(r.clustering.is_empty());
         assert_eq!(stats.halo_points, 0);
 
         let d = Dataset::from_flat(2, vec![0.0, 0.0, 0.1, 0.0, 5.0, 5.0]);
         let idx = LinearScan::new(&d, Euclidean);
         let seq = dbscan(&d, &idx, &params);
-        let (r, stats) = partitioned_dbscan(&d, IndexKind::KdTree, &params, 9, 4, Precision::F64);
+        let (r, stats) = partitioned_dbscan(&d, IndexKind::KdTree, &params, 9, 4);
         assert_eq!(seq.clustering, r.clustering);
         assert_eq!(stats.partitions, 3, "clamped to the point count");
     }
@@ -568,8 +560,7 @@ mod tests {
         }
         let params = DbscanParams::new(0.5, 3);
         for (partitions, edges) in [(1, 0), (2, 1), (4, 3)] {
-            let (r, stats) =
-                partitioned_dbscan(&d, IndexKind::Grid, &params, partitions, 1, Precision::F64);
+            let (r, stats) = partitioned_dbscan(&d, IndexKind::Grid, &params, partitions, 1);
             assert_eq!(r.clustering.n_clusters(), 1);
             assert_eq!(stats.merge_edges, edges, "partitions={partitions}");
         }

@@ -440,9 +440,8 @@ proptest! {
             let seq = dbscan(&data, idx.as_ref(), &params);
             for threads in [1usize, 2, 8] {
                 for partitions in [1usize, 2, 4] {
-                    let (part, stats) = partitioned_dbscan(
-                        &data, kind, &params, partitions, threads, Precision::F64,
-                    );
+                    let (part, stats) =
+                        partitioned_dbscan(&data, kind, &params, partitions, threads);
                     prop_assert_eq!(&seq.clustering, &part.clustering,
                         "labels differ ({:?}, {} threads, {} partitions)",
                         kind, threads, partitions);
@@ -470,9 +469,8 @@ proptest! {
         let idx = build_index(IndexKind::RStar, &data, dbdc_geom::Euclidean, eps);
         let seq = dbscan(&data, idx.as_ref(), &params);
         for partitions in [2usize, 4] {
-            let (part, stats) = partitioned_dbscan(
-                &data, IndexKind::RStar, &params, partitions, 2, Precision::F64,
-            );
+            let (part, stats) =
+                partitioned_dbscan(&data, IndexKind::RStar, &params, partitions, 2);
             prop_assert_eq!(&seq.clustering, &part.clustering,
                 "labels differ at {} halo-heavy partitions", partitions);
             prop_assert_eq!(&seq.core, &part.core,

@@ -109,10 +109,9 @@ pub fn build_global_model_observed(
         // has the same squared radius (+inf, so every pair is a
         // neighbour) and keeps the DBSCAN radius and grid cell finite.
         let eps = eps_global.min(f64::MAX);
-        // The server's index is the sites' backend, but always at f64 on
-        // one build thread: labels depend only on neighbour *sets*, which
-        // every backend's f64 range query shares with the linear scan,
-        // while an f32 scan could change them.
+        // The server's index is the sites' backend, on one build thread:
+        // labels depend only on neighbour *sets*, which every backend's
+        // range query shares with the linear scan.
         let idx = build_index_opts(
             params.index,
             &points,

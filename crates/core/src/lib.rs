@@ -44,7 +44,6 @@
 //! assert!(report.q > 0.9);
 //! ```
 
-pub mod catalog;
 pub mod global_model;
 pub mod local_model;
 pub mod network;
@@ -60,7 +59,6 @@ pub mod step;
 pub mod streaming;
 pub mod wire;
 
-pub use catalog::{Federation, SiteCatalog};
 pub use global_model::{build_global_model, build_global_model_observed, GlobalModel, GlobalRep};
 pub use local_model::{build_local_model, LocalModel, Representative};
 pub use network::{NetworkConfigError, NetworkModel};

@@ -97,7 +97,6 @@ pub fn dbdc_run_report(
         .with_param("index", params.index.name())
         .with_param("threads", params.threads)
         .with_param("partitions", params.partitions)
-        .with_param("precision", params.precision.name())
         .with_param("sites", outcome.n_sites);
     report.dataset = Some(DatasetInfo {
         points: n_points,

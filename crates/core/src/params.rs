@@ -72,11 +72,7 @@ pub struct DbdcParams {
     /// partition per worker thread". Labels are identical for every
     /// setting.
     pub partitions: usize,
-    /// Coordinate precision of the index scan path. The default
-    /// [`Precision::F64`] is bit-exact; the opt-in [`Precision::F32`]
-    /// halves scan bandwidth and is approximate near the ε boundary, so
-    /// runs report label agreement against the f64 oracle instead of
-    /// gating on identity.
+    /// Always [`Precision::F64`]; nothing reads it.
     pub precision: Precision,
 }
 
@@ -120,13 +116,6 @@ impl DbdcParams {
         self
     }
 
-    /// Selects the scan-path precision (builder style); see
-    /// [`DbdcParams::precision`].
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// Selects the local model kind (builder style).
     pub fn with_model(mut self, model: LocalModelKind) -> Self {
         self.model = model;
@@ -140,14 +129,12 @@ impl DbdcParams {
     }
 
     /// How each local DBSCAN run executes: [`DbdcParams::index`],
-    /// [`DbdcParams::threads`], [`DbdcParams::partitions`] and
-    /// [`DbdcParams::precision`].
+    /// [`DbdcParams::threads`] and [`DbdcParams::partitions`].
     pub fn execution(&self) -> Execution {
         Execution {
             index: self.index,
             threads: self.threads,
             partitions: self.partitions,
-            precision: self.precision,
         }
     }
 
@@ -224,9 +211,8 @@ mod tests {
         assert_eq!(p.threads, 1);
         assert_eq!(p.partitions, 1);
         assert_eq!(p.precision, Precision::F64);
-        let p = p.with_partitions(4).with_precision(Precision::F32);
+        let p = p.with_partitions(4);
         assert_eq!(p.partitions, 4);
-        assert_eq!(p.precision, Precision::F32);
     }
 
     #[test]

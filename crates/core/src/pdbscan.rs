@@ -63,14 +63,7 @@ pub fn run_pdbscan(data: &Dataset, params: &DbdcParams, workers: usize) -> Pdbsc
     assert!(workers > 0, "need at least one worker");
     let dbscan_params = DbscanParams::new(params.eps_local, params.min_pts_local);
     let t0 = Instant::now();
-    let (result, stats) = partitioned_dbscan(
-        data,
-        params.index,
-        &dbscan_params,
-        workers,
-        1,
-        params.precision,
-    );
+    let (result, stats) = partitioned_dbscan(data, params.index, &dbscan_params, workers, 1);
     let merge_time = t0
         .elapsed()
         .saturating_sub(stats.partition_times.iter().sum());

@@ -338,17 +338,18 @@ pub fn central_dbscan(data: &Dataset, params: &DbdcParams) -> (DbscanResult, Dur
 }
 
 /// [`central_dbscan`] reporting into `rec` under the `central` counter
-/// scope, with a single `central` span. The run is never partitioned.
+/// scope, with a single `central` span. The run is never partitioned:
+/// [`dbdc_cluster::Execution::dbscan`] always clusters over one index.
 pub fn central_dbscan_recorded(
     data: &Dataset,
     params: &DbdcParams,
     rec: &dyn Recorder,
 ) -> (DbscanResult, Duration) {
     let t0 = Instant::now();
-    let mut exec = params.execution();
-    exec.partitions = 1;
     let dbscan_params = DbscanParams::new(params.eps_local, params.min_pts_local);
-    let (result, _) = exec.dbscan(data, &dbscan_params, rec, "central");
+    let (result, _) = params
+        .execution()
+        .dbscan(data, &dbscan_params, rec, "central");
     let elapsed = t0.elapsed();
     if rec.is_enabled() {
         rec.record_span(

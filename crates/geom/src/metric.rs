@@ -81,53 +81,6 @@ pub trait Metric: Send + Sync {
         }
     }
 
-    /// Single-precision [`Metric::surrogate_batch`]: same SoA layout,
-    /// `f32` columns and outputs, for the opt-in reduced-precision scan
-    /// path. The contract is looser than the `f64` kernel's: results
-    /// must be **bit-identical to a scalar f32 accumulation** in the
-    /// same dimension order (the Lp overrides are property-tested for
-    /// this), but are *not* expected to match the `f64` oracle — the
-    /// precision→quality tradeoff is measured, not assumed away.
-    ///
-    /// The default gathers each point, widens to `f64`, applies the
-    /// scalar surrogate and narrows the result, so custom metrics stay
-    /// correct (if slower) without writing an `f32` kernel.
-    fn surrogate_batch_f32(
-        &self,
-        q: &[f32],
-        cols: &[f32],
-        stride: usize,
-        n: usize,
-        out: &mut [f32],
-    ) {
-        let dim = q.len();
-        let mut qstack = [0.0f64; STACK_DIM];
-        let mut qheap;
-        let qbuf: &mut [f64] = if dim <= STACK_DIM {
-            &mut qstack[..dim]
-        } else {
-            qheap = vec![0.0; dim];
-            &mut qheap
-        };
-        for (w, &v) in qbuf.iter_mut().zip(q) {
-            *w = v as f64;
-        }
-        let mut stack = [0.0f64; STACK_DIM];
-        let mut heap;
-        let buf: &mut [f64] = if dim <= STACK_DIM {
-            &mut stack[..dim]
-        } else {
-            heap = vec![0.0; dim];
-            &mut heap
-        };
-        for (i, o) in out.iter_mut().take(n).enumerate() {
-            for (d, c) in buf.iter_mut().enumerate() {
-                *c = cols[d * stride + i] as f64;
-            }
-            *o = self.surrogate(qbuf, buf) as f32;
-        }
-    }
-
     /// Lower bound, in surrogate units, on `surrogate(q, p)` over every
     /// point `p` of the axis-aligned box `[lo, hi]`.
     ///
@@ -175,41 +128,6 @@ fn batch_kernel(
     let mut i = 0;
     while i + L <= n {
         let mut acc = [0.0f64; L];
-        for (d, &qd) in q.iter().enumerate() {
-            let col = &cols[d * stride + i..d * stride + i + L];
-            for (a, &c) in acc.iter_mut().zip(col) {
-                *a = fold(*a, qd - c);
-            }
-        }
-        out[i..i + L].copy_from_slice(&acc);
-        i += L;
-    }
-    for j in i..n {
-        let mut acc = 0.0;
-        for (d, &qd) in q.iter().enumerate() {
-            acc = fold(acc, qd - cols[d * stride + j]);
-        }
-        out[j] = acc;
-    }
-}
-
-/// `f32` mirror of [`batch_kernel`]: identical chunking, lane order and
-/// fold direction, accumulating in single precision. Bit-identical to a
-/// scalar f32 loop over the same dimension order, which is all the f32
-/// contract promises.
-#[inline]
-fn batch_kernel_f32(
-    q: &[f32],
-    cols: &[f32],
-    stride: usize,
-    n: usize,
-    out: &mut [f32],
-    fold: impl Fn(f32, f32) -> f32 + Copy,
-) {
-    const L: usize = BATCH_LANES;
-    let mut i = 0;
-    while i + L <= n {
-        let mut acc = [0.0f32; L];
         for (d, &qd) in q.iter().enumerate() {
             let col = &cols[d * stride + i..d * stride + i + L];
             for (a, &c) in acc.iter_mut().zip(col) {
@@ -276,17 +194,6 @@ impl Metric for Euclidean {
         batch_kernel(q, cols, stride, n, out, |acc, diff| acc + diff * diff);
     }
 
-    fn surrogate_batch_f32(
-        &self,
-        q: &[f32],
-        cols: &[f32],
-        stride: usize,
-        n: usize,
-        out: &mut [f32],
-    ) {
-        batch_kernel_f32(q, cols, stride, n, out, |acc, diff| acc + diff * diff);
-    }
-
     #[inline]
     fn surrogate_dist_to_box(&self, q: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
         let mut acc = 0.0;
@@ -317,17 +224,6 @@ impl Metric for SquaredEuclidean {
         batch_kernel(q, cols, stride, n, out, |acc, diff| acc + diff * diff);
     }
 
-    fn surrogate_batch_f32(
-        &self,
-        q: &[f32],
-        cols: &[f32],
-        stride: usize,
-        n: usize,
-        out: &mut [f32],
-    ) {
-        batch_kernel_f32(q, cols, stride, n, out, |acc, diff| acc + diff * diff);
-    }
-
     #[inline]
     fn surrogate_dist_to_box(&self, q: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
         let mut acc = 0.0;
@@ -351,17 +247,6 @@ impl Metric for Manhattan {
 
     fn surrogate_batch(&self, q: &[f64], cols: &[f64], stride: usize, n: usize, out: &mut [f64]) {
         batch_kernel(q, cols, stride, n, out, |acc, diff| acc + diff.abs());
-    }
-
-    fn surrogate_batch_f32(
-        &self,
-        q: &[f32],
-        cols: &[f32],
-        stride: usize,
-        n: usize,
-        out: &mut [f32],
-    ) {
-        batch_kernel_f32(q, cols, stride, n, out, |acc, diff| acc + diff.abs());
     }
 
     #[inline]
@@ -389,17 +274,6 @@ impl Metric for Chebyshev {
 
     fn surrogate_batch(&self, q: &[f64], cols: &[f64], stride: usize, n: usize, out: &mut [f64]) {
         batch_kernel(q, cols, stride, n, out, |acc, diff| acc.max(diff.abs()));
-    }
-
-    fn surrogate_batch_f32(
-        &self,
-        q: &[f32],
-        cols: &[f32],
-        stride: usize,
-        n: usize,
-        out: &mut [f32],
-    ) {
-        batch_kernel_f32(q, cols, stride, n, out, |acc, diff| acc.max(diff.abs()));
     }
 
     #[inline]
@@ -459,20 +333,6 @@ impl Metric for Minkowski {
     fn surrogate_batch(&self, q: &[f64], cols: &[f64], stride: usize, n: usize, out: &mut [f64]) {
         let p = self.p;
         batch_kernel(q, cols, stride, n, out, |acc, diff| {
-            acc + diff.abs().powf(p)
-        });
-    }
-
-    fn surrogate_batch_f32(
-        &self,
-        q: &[f32],
-        cols: &[f32],
-        stride: usize,
-        n: usize,
-        out: &mut [f32],
-    ) {
-        let p = self.p as f32;
-        batch_kernel_f32(q, cols, stride, n, out, |acc, diff| {
             acc + diff.abs().powf(p)
         });
     }
@@ -754,59 +614,6 @@ mod tests {
                         i, n, out[i], scalar
                     );
                 }
-            }
-        }
-
-        /// The f32 kernels are bit-identical to a scalar f32
-        /// accumulation in ascending dimension order — the contract the
-        /// reduced-precision scan path relies on — and the trait's
-        /// widen-narrow default matches narrowing the f64 surrogate.
-        #[test]
-        fn surrogate_batch_f32_matches_scalar((q, pts, pad) in soa_block()) {
-            let dim = q.len();
-            let n = pts.len();
-            let stride = n + pad;
-            let q32: Vec<f32> = q.iter().map(|&x| x as f32).collect();
-            let mut cols = vec![1e12f32; dim * stride];
-            for (i, p) in pts.iter().enumerate() {
-                for d in 0..dim {
-                    cols[d * stride + i] = p[d] as f32;
-                }
-            }
-            // (metric, scalar f32 fold) for every shipped kernel.
-            type Fold = Box<dyn Fn(f32, f32) -> f32>;
-            let kernels: Vec<(Box<dyn Metric>, Fold)> = vec![
-                (Box::new(Euclidean), Box::new(|acc, d: f32| acc + d * d)),
-                (Box::new(SquaredEuclidean), Box::new(|acc, d: f32| acc + d * d)),
-                (Box::new(Manhattan), Box::new(|acc, d: f32| acc + d.abs())),
-                (Box::new(Chebyshev), Box::new(|acc: f32, d: f32| acc.max(d.abs()))),
-                (Box::new(Minkowski::new(2.5)), Box::new(|acc, d: f32| acc + d.abs().powf(2.5))),
-            ];
-            for (m, fold) in &kernels {
-                let mut out = vec![f32::NAN; n];
-                m.surrogate_batch_f32(&q32, &cols, stride, n, &mut out);
-                for (i, got) in out.iter().enumerate() {
-                    let mut scalar = 0.0f32;
-                    for (d, &qd) in q32.iter().enumerate() {
-                        scalar = fold(scalar, qd - cols[d * stride + i]);
-                    }
-                    prop_assert_eq!(
-                        got.to_bits(),
-                        scalar.to_bits(),
-                        "point {} of {}: batch {} vs scalar {}",
-                        i, n, got, scalar
-                    );
-                }
-            }
-            // The default implementation narrows the f64 surrogate.
-            let m = WeightedL1;
-            let mut out = vec![f32::NAN; n];
-            m.surrogate_batch_f32(&q32, &cols, stride, n, &mut out);
-            for (i, got) in out.iter().enumerate() {
-                let p64: Vec<f64> = (0..dim).map(|d| cols[d * stride + i] as f64).collect();
-                let q64: Vec<f64> = q32.iter().map(|&x| x as f64).collect();
-                let want = m.surrogate(&q64, &p64) as f32;
-                prop_assert_eq!(got.to_bits(), want.to_bits());
             }
         }
 

@@ -1,72 +1,22 @@
-//! Coordinate precision selector for the scan-heavy index paths.
+//! The scan precision of the index paths, which is `f64` only.
 //!
-//! The default `F64` path stores leaf coordinates as `f64` and is
-//! bit-exact with the scalar oracle everywhere. The opt-in `F32` path
-//! stores the SoA leaf blocks as `f32` and runs the batched surrogate
-//! kernels in single precision, halving the memory traffic of the
-//! ε-range scan loop. Queries and tree bounds stay `f64`: only the
-//! per-point candidate test is approximate, so results can differ from
-//! the `f64` oracle for points whose distance to the query is within
-//! rounding distance of ε. The tradeoff is reported (label agreement,
-//! DBCV delta), never silently gated on identity.
+//! `Precision` has one variant and nothing branches on it. It remains
+//! because three names the repository benchmark (`perfbench`) builds
+//! against still carry it: `DbdcParams::precision`,
+//! `BuildOptions::precision` and the `precision` argument of
+//! `partitioned_dbscan_with_scp_observed`. It goes with them.
 
-/// Which representation the index stores its leaf coordinate blocks in.
+/// Which representation the indexes scan coordinates in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Precision {
-    /// Double precision — bit-exact, the oracle path.
+    /// Double precision, bit-exact with the scalar oracle.
     #[default]
     F64,
-    /// Single-precision SoA leaf blocks + f32 surrogate kernels —
-    /// approximate near the ε boundary, half the scan bandwidth.
-    F32,
-}
-
-impl Precision {
-    /// Every precision, for sweeps.
-    pub const ALL: [Precision; 2] = [Precision::F64, Precision::F32];
-
-    /// Stable lowercase name (CLI value, report key).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Precision::F64 => "f64",
-            Precision::F32 => "f32",
-        }
-    }
-}
-
-impl std::fmt::Display for Precision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Precision {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "f64" | "double" => Ok(Precision::F64),
-            "f32" | "single" => Ok(Precision::F32),
-            other => Err(format!(
-                "unknown precision {other:?} (expected \"f64\" or \"f32\")"
-            )),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for p in Precision::ALL {
-            assert_eq!(p.name().parse::<Precision>().unwrap(), p);
-        }
-        assert_eq!("double".parse::<Precision>().unwrap(), Precision::F64);
-        assert_eq!("single".parse::<Precision>().unwrap(), Precision::F32);
-        assert!("f16".parse::<Precision>().is_err());
-    }
 
     #[test]
     fn default_is_f64() {

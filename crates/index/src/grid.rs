@@ -27,8 +27,7 @@
 //! and verifying each candidate with the exact metric cannot miss a result.
 
 use crate::linear::ordered::F64;
-use crate::{scan_block, scan_block_f32, NeighborIndex};
-use crate::{Precision, QueryF32};
+use crate::{scan_block, NeighborIndex};
 use dbdc_geom::{Dataset, Metric};
 use dbdc_obs::CounterSheet;
 use std::collections::{BinaryHeap, HashMap};
@@ -99,12 +98,7 @@ pub struct GridIndex<'a, M> {
     ids: Vec<u32>,
     /// Per-cell SoA coordinate blocks, same order as `ids`: coordinate
     /// `d` of cell `r`'s `k`-th point at `dim * offsets[r] + d * len + k`.
-    /// Empty when the grid was built with [`Precision::F32`].
     coords: Vec<f64>,
-    /// `f32` twin of `coords`, populated instead of it under
-    /// [`Precision::F32`].
-    coords32: Vec<f32>,
-    precision: Precision,
     sheet: Option<Arc<CounterSheet>>,
 }
 
@@ -150,30 +144,18 @@ impl<'a, M: Metric> GridIndex<'a, M> {
     /// # Panics
     /// Panics if `cell` is not finite and positive.
     pub fn new(data: &'a Dataset, metric: M, cell: f64) -> Self {
-        Self::with_options(data, metric, cell, 1, Precision::F64)
+        Self::with_threads(data, metric, cell, 1)
     }
 
     /// [`GridIndex::new`] with `threads` construction workers.
-    pub fn with_threads(data: &'a Dataset, metric: M, cell: f64, threads: usize) -> Self {
-        Self::with_options(data, metric, cell, threads, Precision::F64)
-    }
-
-    /// Builds the grid with `threads` construction workers and the
-    /// given scan-path precision. Bucketing, the key sort and the id
-    /// arena stay sequential; the coordinate layout is then fully
-    /// determined by a prefix scan over the sorted cells, so workers
-    /// fill disjoint coordinate ranges in parallel and the result is
-    /// bit-identical at every thread count.
+    /// Bucketing, the key sort and the id arena stay sequential; the
+    /// coordinate layout is then fully determined by a prefix scan over
+    /// the sorted cells, so workers fill disjoint coordinate ranges in
+    /// parallel and the result is bit-identical at every thread count.
     ///
     /// # Panics
     /// Panics if `cell` is not finite and positive.
-    pub fn with_options(
-        data: &'a Dataset,
-        metric: M,
-        cell: f64,
-        threads: usize,
-        precision: Precision,
-    ) -> Self {
+    pub fn with_threads(data: &'a Dataset, metric: M, cell: f64, threads: usize) -> Self {
         assert!(
             cell.is_finite() && cell > 0.0,
             "grid cell size must be positive and finite"
@@ -256,7 +238,7 @@ impl<'a, M: Metric> GridIndex<'a, M> {
                 }
             });
         }
-        let mut grid = Self {
+        Self {
             data,
             metric,
             cell,
@@ -265,15 +247,8 @@ impl<'a, M: Metric> GridIndex<'a, M> {
             offsets,
             ids,
             coords,
-            coords32: Vec::new(),
-            precision,
             sheet: None,
-        };
-        if precision == Precision::F32 {
-            grid.coords32 = grid.coords.iter().map(|&x| x as f32).collect();
-            grid.coords = Vec::new();
         }
-        grid
     }
 
     /// Serializes the cell table and packed arenas to a stable bit
@@ -284,7 +259,6 @@ impl<'a, M: Metric> GridIndex<'a, M> {
         v.extend(self.offsets.iter().map(|&o| o as u64));
         v.extend(self.ids.iter().map(|&i| i as u64));
         v.extend(self.coords.iter().map(|c| c.to_bits()));
-        v.extend(self.coords32.iter().map(|c| c.to_bits() as u64));
         v
     }
 
@@ -326,12 +300,7 @@ impl<'a, M: Metric> GridIndex<'a, M> {
     }
 
     /// Every occupied cell, by rank.
-    ///
-    /// # Panics
-    /// Panics if the grid was built with [`Precision::F32`], which keeps
-    /// no `f64` coordinates.
     pub fn cells(&self) -> impl Iterator<Item = GridCell<'_>> + '_ {
-        assert_eq!(self.precision, Precision::F64, "cell views are f64");
         (0..self.occupied_cells()).map(|rank| self.view(rank))
     }
 
@@ -340,12 +309,7 @@ impl<'a, M: Metric> GridIndex<'a, M> {
     /// and returns their number — what a range query records as node
     /// visits. Allocation-free, and unobserved: a caller scanning the
     /// cells itself records its own work.
-    ///
-    /// # Panics
-    /// Panics if the grid was built with [`Precision::F32`], which keeps
-    /// no `f64` coordinates.
     pub fn visit_cells<'s>(&'s self, q: &[f64], r: f64, mut f: impl FnMut(GridCell<'s>)) -> u64 {
-        assert_eq!(self.precision, Precision::F64, "cell views are f64");
         self.for_cells(q, r, |rank| f(self.view(rank)))
     }
 
@@ -462,12 +426,6 @@ impl<M: Metric> NeighborIndex for GridIndex<'_, M> {
     fn range(&self, q: &[f64], eps: f64, out: &mut Vec<u32>) {
         out.clear();
         let bound = self.metric.to_surrogate(eps);
-        // Cell lookup stays on f64 coordinates in both precisions;
-        // only the per-point candidate test narrows.
-        let q32 = match self.precision {
-            Precision::F32 => Some(QueryF32::new(q)),
-            Precision::F64 => None,
-        };
         let mut evals = 0u64;
         let dim = self.data.dim();
         let visits = self.for_cells(q, eps, |rank| {
@@ -475,26 +433,15 @@ impl<M: Metric> NeighborIndex for GridIndex<'_, M> {
             let len = span.len();
             evals += len as u64;
             let cols = dim * span.start..dim * span.end;
-            match &q32 {
-                None => scan_block(
-                    &self.metric,
-                    q,
-                    &self.ids[span],
-                    &self.coords[cols],
-                    len,
-                    bound,
-                    out,
-                ),
-                Some(q32) => scan_block_f32(
-                    &self.metric,
-                    q32.as_slice(),
-                    &self.ids[span],
-                    &self.coords32[cols],
-                    len,
-                    bound as f32,
-                    out,
-                ),
-            }
+            scan_block(
+                &self.metric,
+                q,
+                &self.ids[span],
+                &self.coords[cols],
+                len,
+                bound,
+                out,
+            );
         });
         if let Some(s) = &self.sheet {
             s.record_range(evals, visits);
@@ -702,30 +649,6 @@ mod tests {
             let par = GridIndex::with_threads(&d, Euclidean, 2.5, threads).arena_bits();
             assert_eq!(seq, par, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn f32_range_matches_oracle_away_from_boundary() {
-        let d = testutil::random_dataset(600, 52);
-        let oracle = GridIndex::new(&d, Euclidean, 3.0);
-        let narrow = GridIndex::with_options(&d, Euclidean, 3.0, 2, Precision::F32);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let mut agree = 0usize;
-        let mut total = 0usize;
-        for i in (0..d.len() as u32).step_by(9) {
-            for eps in [0.5, 3.0, 20.0] {
-                oracle.range(d.point(i), eps, &mut a);
-                narrow.range(d.point(i), eps, &mut b);
-                total += 1;
-                if a == b {
-                    agree += 1;
-                }
-            }
-        }
-        assert!(
-            agree * 100 >= total * 99,
-            "f32 agreement too low: {agree}/{total}"
-        );
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! distance via [`crate::dist_to_box`] (its heap stores distances).
 
 use crate::linear::ordered::F64;
-use crate::{dist_to_box, scan_block, scan_block_f32, with_scratch, NeighborIndex, QueryWorkspace};
-use crate::{Precision, QueryF32};
+use crate::{dist_to_box, scan_block, with_scratch, NeighborIndex, QueryWorkspace};
 use dbdc_geom::{Dataset, Metric, Rect};
 use dbdc_obs::CounterSheet;
 use std::collections::BinaryHeap;
@@ -199,13 +198,8 @@ pub struct KdTree<'a, M> {
     bounds: Vec<f64>,
     /// Leaf point ids, concatenated in traversal (preorder) order.
     ids: Vec<u32>,
-    /// Per-leaf SoA coordinate blocks, same order as `ids`. Empty when
-    /// the tree was built with [`Precision::F32`].
+    /// Per-leaf SoA coordinate blocks, same order as `ids`.
     coords: Vec<f64>,
-    /// `f32` twin of `coords`, populated instead of it under
-    /// [`Precision::F32`].
-    coords32: Vec<f32>,
-    precision: Precision,
     dim: usize,
     sheet: Option<Arc<CounterSheet>>,
 }
@@ -214,26 +208,12 @@ impl<'a, M: Metric> KdTree<'a, M> {
     /// Builds the tree by recursive median splits along the widest
     /// dimension. `O(n log² n)` build via per-level selects.
     pub fn new(data: &'a Dataset, metric: M) -> Self {
-        Self::with_options(data, metric, 1, Precision::F64)
+        Self::with_threads(data, metric, 1)
     }
 
     /// [`KdTree::new`] with `threads` construction workers.
+    /// Construction is bit-identical across thread counts.
     pub fn with_threads(data: &'a Dataset, metric: M, threads: usize) -> Self {
-        Self::with_options(data, metric, threads, Precision::F64)
-    }
-
-    /// Builds the tree with `threads` construction workers and the
-    /// given scan-path precision. Construction is bit-identical across
-    /// thread counts; under [`Precision::F32`] the leaf coordinate
-    /// blocks are narrowed to `f32` after the (still fully `f64`)
-    /// build, so the tree structure, bounds and id order are identical
-    /// to the `f64` tree — only the leaf candidate test is approximate.
-    pub fn with_options(
-        data: &'a Dataset,
-        metric: M,
-        threads: usize,
-        precision: Precision,
-    ) -> Self {
         let mut arenas = KdArenas {
             nodes: Vec::new(),
             bounds: Vec::new(),
@@ -244,23 +224,16 @@ impl<'a, M: Metric> KdTree<'a, M> {
             let mut ids: Vec<u32> = (0..data.len() as u32).collect();
             build_par(data, &mut arenas, &mut ids, bbox, threads.max(1));
         }
-        let mut tree = Self {
+        Self {
             data,
             metric,
             nodes: arenas.nodes,
             bounds: arenas.bounds,
             ids: arenas.ids,
             coords: arenas.coords,
-            coords32: Vec::new(),
-            precision,
             dim: data.dim(),
             sheet: None,
-        };
-        if precision == Precision::F32 {
-            tree.coords32 = tree.coords.iter().map(|&x| x as f32).collect();
-            tree.coords = Vec::new();
         }
-        tree
     }
 
     /// Attaches a counter sheet recording per-query work.
@@ -288,7 +261,6 @@ impl<'a, M: Metric> KdTree<'a, M> {
         v.extend(self.bounds.iter().map(|b| b.to_bits()));
         v.extend(self.ids.iter().map(|&i| i as u64));
         v.extend(self.coords.iter().map(|c| c.to_bits()));
-        v.extend(self.coords32.iter().map(|c| c.to_bits() as u64));
         v
     }
 
@@ -330,12 +302,6 @@ impl<M: Metric> NeighborIndex for KdTree<'_, M> {
         let mut work = Work::default();
         if !self.nodes.is_empty() {
             let bound = self.metric.to_surrogate(eps);
-            // Box pruning stays f64 in both precisions (bounds are
-            // exact); only the leaf candidate test narrows.
-            let q32 = match self.precision {
-                Precision::F32 => Some(QueryF32::new(q)),
-                Precision::F64 => None,
-            };
             ws.stack.clear();
             ws.stack.push(0);
             // Pop order (left child above right) reproduces the
@@ -352,26 +318,15 @@ impl<M: Metric> NeighborIndex for KdTree<'_, M> {
                     FlatNode::Leaf { start, len, coords } => {
                         work.evals += len as u64;
                         let (start, len, coords) = (start as usize, len as usize, coords as usize);
-                        match &q32 {
-                            None => scan_block(
-                                &self.metric,
-                                q,
-                                &self.ids[start..start + len],
-                                &self.coords[coords..coords + self.dim * len],
-                                len,
-                                bound,
-                                out,
-                            ),
-                            Some(q32) => scan_block_f32(
-                                &self.metric,
-                                q32.as_slice(),
-                                &self.ids[start..start + len],
-                                &self.coords32[coords..coords + self.dim * len],
-                                len,
-                                bound as f32,
-                                out,
-                            ),
-                        }
+                        scan_block(
+                            &self.metric,
+                            q,
+                            &self.ids[start..start + len],
+                            &self.coords[coords..coords + self.dim * len],
+                            len,
+                            bound,
+                            out,
+                        );
                     }
                     FlatNode::Inner { left, right } => {
                         ws.stack.push(right);
@@ -538,47 +493,6 @@ mod tests {
             let par = KdTree::with_threads(&d, Euclidean, threads).arena_bits();
             assert_eq!(seq, par, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn f32_build_shares_f64_structure() {
-        let d = testutil::random_dataset(2000, 32);
-        let f64_tree = KdTree::new(&d, Euclidean);
-        let f32_tree = KdTree::with_options(&d, Euclidean, 4, Precision::F32);
-        // Same nodes/bounds/ids; only the coords arena is narrowed.
-        assert_eq!(f64_tree.nodes.len(), f32_tree.nodes.len());
-        assert_eq!(f64_tree.bounds, f32_tree.bounds);
-        assert_eq!(f64_tree.ids, f32_tree.ids);
-        assert!(f64_tree.coords32.is_empty() && f32_tree.coords.is_empty());
-        assert_eq!(f64_tree.coords.len(), f32_tree.coords32.len());
-    }
-
-    #[test]
-    fn f32_range_agrees_away_from_boundary() {
-        // With eps far from any pairwise distance, the f32 candidate
-        // test cannot flip and results must match the f64 oracle.
-        let d = testutil::random_dataset(600, 33);
-        let f64_tree = KdTree::new(&d, Euclidean);
-        let f32_tree = KdTree::with_options(&d, Euclidean, 1, Precision::F32);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let mut agree = 0usize;
-        let mut total = 0usize;
-        for i in (0..d.len() as u32).step_by(7) {
-            for eps in [0.5, 3.0, 20.0] {
-                f64_tree.range(d.point(i), eps, &mut a);
-                f32_tree.range(d.point(i), eps, &mut b);
-                total += 1;
-                if a == b {
-                    agree += 1;
-                }
-            }
-        }
-        // The f32 path is approximate near the ε boundary but must
-        // agree almost everywhere on well-separated random data.
-        assert!(
-            agree * 100 >= total * 99,
-            "f32 agreement too low: {agree}/{total}"
-        );
     }
 
     #[test]

@@ -174,8 +174,7 @@ pub struct BuildOptions {
     /// subtree→node-id assignment is deterministic, so the flat arenas
     /// come out byte-for-byte the same regardless of parallelism.
     pub threads: usize,
-    /// Coordinate precision of the leaf SoA scan blocks. The linear
-    /// scan ignores this and stays the exact f64 oracle.
+    /// Always [`Precision::F64`]; no backend reads it.
     pub precision: Precision,
 }
 
@@ -215,7 +214,7 @@ pub fn build_index<'a, M: Metric + Clone + 'a>(
 }
 
 /// Like [`build_index`], with explicit [`BuildOptions`] (worker threads
-/// for parallel arena construction, scan-path coordinate precision) and
+/// for parallel arena construction) and
 /// optional observation: a [`dbdc_obs::CounterSheet`] makes every query
 /// record its ε-range / knn count, distance evaluations and index-node
 /// visits, and a [`dbdc_obs::HistSheet`] wraps the index in a
@@ -233,8 +232,7 @@ pub fn build_index_opts<'a, M: Metric + Clone + 'a>(
 ) -> Box<dyn NeighborIndex + 'a> {
     let index: Box<dyn NeighborIndex + 'a> = match kind {
         IndexKind::Linear => {
-            // The linear scan has no arenas to build and stays the
-            // exact f64 oracle regardless of the requested options.
+            // The linear scan has no arenas to build.
             let idx = LinearScan::new(data, m);
             match sheet {
                 Some(s) => Box::new(idx.observed(s.clone())),
@@ -242,21 +240,21 @@ pub fn build_index_opts<'a, M: Metric + Clone + 'a>(
             }
         }
         IndexKind::Grid => {
-            let idx = GridIndex::with_options(data, m, eps_hint, opts.threads, opts.precision);
+            let idx = GridIndex::with_threads(data, m, eps_hint, opts.threads);
             match sheet {
                 Some(s) => Box::new(idx.observed(s.clone())),
                 None => Box::new(idx),
             }
         }
         IndexKind::KdTree => {
-            let idx = KdTree::with_options(data, m, opts.threads, opts.precision);
+            let idx = KdTree::with_threads(data, m, opts.threads);
             match sheet {
                 Some(s) => Box::new(idx.observed(s.clone())),
                 None => Box::new(idx),
             }
         }
         IndexKind::RStar => {
-            let idx = RStarTree::bulk_load_opts(data, m, opts.precision);
+            let idx = RStarTree::bulk_load(data, m);
             match sheet {
                 Some(s) => Box::new(idx.observed(s.clone())),
                 None => Box::new(idx),
@@ -336,71 +334,6 @@ pub(crate) fn scan_block<M: Metric>(
             }
         }
         i += c;
-    }
-}
-
-/// `f32` twin of [`scan_block`] for the opt-in reduced-precision scan
-/// path: same chunking and visit order, surrogates computed by
-/// [`Metric::surrogate_batch_f32`] over an `f32` SoA block against an
-/// `f32` bound.
-pub(crate) fn scan_block_f32<M: Metric>(
-    m: &M,
-    q: &[f32],
-    ids: &[u32],
-    cols: &[f32],
-    stride: usize,
-    bound: f32,
-    out: &mut Vec<u32>,
-) {
-    const SCAN_CHUNK: usize = 32;
-    let mut buf = [0.0f32; SCAN_CHUNK];
-    let n = ids.len();
-    let mut i = 0;
-    while i < n {
-        let c = SCAN_CHUNK.min(n - i);
-        m.surrogate_batch_f32(q, &cols[i..], stride, c, &mut buf[..c]);
-        for (k, &id) in ids[i..i + c].iter().enumerate() {
-            if buf[k] <= bound {
-                out.push(id);
-            }
-        }
-        i += c;
-    }
-}
-
-/// Per-query `f32` view of an `f64` query point, stack-buffered up to
-/// 16 dimensions so the reduced-precision scan path allocates nothing
-/// per query in the dimensions this workspace actually uses.
-pub(crate) struct QueryF32 {
-    stack: [f32; 16],
-    heap: Vec<f32>,
-    dim: usize,
-}
-
-impl QueryF32 {
-    pub(crate) fn new(q: &[f64]) -> Self {
-        let mut s = Self {
-            stack: [0.0; 16],
-            heap: Vec::new(),
-            dim: q.len(),
-        };
-        if q.len() <= 16 {
-            for (w, &v) in s.stack.iter_mut().zip(q) {
-                *w = v as f32;
-            }
-        } else {
-            s.heap = q.iter().map(|&v| v as f32).collect();
-        }
-        s
-    }
-
-    #[inline]
-    pub(crate) fn as_slice(&self) -> &[f32] {
-        if self.dim <= 16 {
-            &self.stack[..self.dim]
-        } else {
-            &self.heap
-        }
     }
 }
 

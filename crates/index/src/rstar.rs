@@ -17,8 +17,7 @@
 //! best-first search over the same node boxes and points.
 
 use crate::linear::ordered::F64;
-use crate::{dist_to_box, scan_block, scan_block_f32, with_scratch, NeighborIndex, QueryWorkspace};
-use crate::{Precision, QueryF32};
+use crate::{dist_to_box, scan_block, with_scratch, NeighborIndex, QueryWorkspace};
 use dbdc_geom::{Dataset, Metric, Rect};
 use dbdc_obs::CounterSheet;
 use std::cmp::Reverse;
@@ -43,13 +42,8 @@ struct FlatRStar {
     bounds: Vec<f64>,
     /// Leaf point ids in traversal order.
     ids: Vec<u32>,
-    /// Per-leaf SoA coordinate blocks, same order as `ids`. Empty when
-    /// the tree was narrowed to [`Precision::F32`].
+    /// Per-leaf SoA coordinate blocks, same order as `ids`.
     coords: Vec<f64>,
-    /// `f32` twin of `coords`, populated instead of it under
-    /// [`Precision::F32`].
-    coords32: Vec<f32>,
-    precision: Precision,
     dim: usize,
 }
 
@@ -198,18 +192,11 @@ impl<'a, M: Metric> RStarTree<'a, M> {
         self
     }
 
-    /// Bulk-loads all points of `data` with the STR algorithm.
+    /// Bulk-loads all points of `data` with the STR algorithm. STR
+    /// tiles the points into leaves, then tiles each level's box
+    /// centres into the level above until one root remains; the levels
+    /// are written into the arenas from the root down.
     pub fn bulk_load(data: &'a Dataset, metric: M) -> Self {
-        Self::bulk_load_opts(data, metric, Precision::F64)
-    }
-
-    /// Bulk-loads with the given scan-path precision. STR tiles the
-    /// points into leaves, then tiles each level's box centres into the
-    /// level above until one root remains; the levels are written into
-    /// the arenas from the root down. Under [`Precision::F32`] the leaf
-    /// blocks are narrowed after the fully-`f64` build, so structure,
-    /// bounds and id order equal the `f64` tree's.
-    pub fn bulk_load_opts(data: &'a Dataset, metric: M, precision: Precision) -> Self {
         let dim = data.dim();
         let mut flat = FlatRStar {
             nodes: Vec::new(),
@@ -217,8 +204,6 @@ impl<'a, M: Metric> RStarTree<'a, M> {
             bounds: Vec::new(),
             ids: Vec::with_capacity(data.len()),
             coords: Vec::with_capacity(data.len() * dim),
-            coords32: Vec::new(),
-            precision,
             dim,
         };
         if !data.is_empty() {
@@ -228,10 +213,6 @@ impl<'a, M: Metric> RStarTree<'a, M> {
                 levels.push(up);
             }
             flat.add(data, &levels, levels.len() - 1, 0);
-        }
-        if precision == Precision::F32 {
-            flat.coords32 = flat.coords.iter().map(|&x| x as f32).collect();
-            flat.coords = Vec::new();
         }
         Self {
             data,
@@ -261,7 +242,6 @@ impl<'a, M: Metric> RStarTree<'a, M> {
         v.extend(flat.bounds.iter().map(|b| b.to_bits()));
         v.extend(flat.ids.iter().map(|&i| i as u64));
         v.extend(flat.coords.iter().map(|c| c.to_bits()));
-        v.extend(flat.coords32.iter().map(|c| c.to_bits() as u64));
         v
     }
 }
@@ -324,12 +304,6 @@ impl<M: Metric> NeighborIndex for RStarTree<'_, M> {
         let mut visits = 0u64;
         if !flat.nodes.is_empty() {
             let bound = self.metric.to_surrogate(eps);
-            // Box pruning stays f64 in both precisions (bounds are
-            // exact); only the leaf candidate test narrows.
-            let q32 = match flat.precision {
-                Precision::F32 => Some(QueryF32::new(q)),
-                Precision::F64 => None,
-            };
             ws.stack.clear();
             ws.stack.push(0);
             while let Some(n) = ws.stack.pop() {
@@ -341,26 +315,15 @@ impl<M: Metric> NeighborIndex for RStarTree<'_, M> {
                     FlatRNode::Leaf { start, len, coords } => {
                         evals += len as u64;
                         let (start, len, coords) = (start as usize, len as usize, coords as usize);
-                        match &q32 {
-                            None => scan_block(
-                                &self.metric,
-                                q,
-                                &flat.ids[start..start + len],
-                                &flat.coords[coords..coords + flat.dim * len],
-                                len,
-                                bound,
-                                out,
-                            ),
-                            Some(q32) => scan_block_f32(
-                                &self.metric,
-                                q32.as_slice(),
-                                &flat.ids[start..start + len],
-                                &flat.coords32[coords..coords + flat.dim * len],
-                                len,
-                                bound as f32,
-                                out,
-                            ),
-                        }
+                        scan_block(
+                            &self.metric,
+                            q,
+                            &flat.ids[start..start + len],
+                            &flat.coords[coords..coords + flat.dim * len],
+                            len,
+                            bound,
+                            out,
+                        );
                     }
                     FlatRNode::Inner { start, len } => {
                         // Children pushed in reverse so they pop — and
@@ -462,11 +425,7 @@ impl<M> RStarTree<'_, M> {
                         let p = self.data.point(i);
                         assert!(inside(n, p, p), "leaf {n} does not contain point {i}");
                         for (d, &c) in p.iter().enumerate() {
-                            let at = coords + d * len + k;
-                            match flat.precision {
-                                Precision::F64 => assert_eq!(flat.coords[at], c),
-                                Precision::F32 => assert_eq!(flat.coords32[at], c as f32),
-                            }
+                            assert_eq!(flat.coords[coords + d * len + k], c);
                         }
                     }
                     assert_eq!(*height.get_or_insert(depth), depth, "leaf {n} depth");
@@ -559,31 +518,6 @@ mod tests {
         assert_eq!(idx.knn(d.point(3), 1)[0].0, 3);
     }
 
-    #[test]
-    fn f32_range_matches_oracle_away_from_boundary() {
-        let d = testutil::random_dataset(800, 42);
-        let oracle = RStarTree::bulk_load(&d, Euclidean);
-        let narrow = RStarTree::bulk_load_opts(&d, Euclidean, Precision::F32);
-        assert_eq!(narrow.check_arena().0, 800);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let mut agree = 0usize;
-        let mut total = 0usize;
-        for i in (0..d.len() as u32).step_by(11) {
-            for eps in [0.5, 3.0, 20.0] {
-                oracle.range(d.point(i), eps, &mut a);
-                narrow.range(d.point(i), eps, &mut b);
-                total += 1;
-                if a == b {
-                    agree += 1;
-                }
-            }
-        }
-        assert!(
-            agree * 100 >= total * 99,
-            "f32 agreement too low: {agree}/{total}"
-        );
-    }
-
     /// FNV-1a over the little-endian bytes of `words`.
     fn fnv1a(words: &[u64]) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325_u64;
@@ -595,28 +529,26 @@ mod tests {
 
     /// The arena layout — STR grouping, preorder node order, child
     /// lists after their subtrees, SoA leaf blocks — is pinned to
-    /// digests of known-good builds, at both precisions. Any change to
+    /// digests of known-good builds. Any change to
     /// how the tree is tiled or emitted (a level-order layout, say)
     /// changes range output order and with it which core points DBDC
     /// picks as representatives. The inputs use no libm, so the digests
     /// hold on any host.
     #[test]
     fn arena_layout_matches_recorded_digests() {
-        let check = |d: &Dataset, want64: u64, want32: u64| {
-            for (precision, want) in [(Precision::F64, want64), (Precision::F32, want32)] {
-                let got = fnv1a(&RStarTree::bulk_load_opts(d, Euclidean, precision).arena_bits());
-                assert_eq!(got, want, "n = {} at {precision:?}: {got:#018x}", d.len());
-            }
+        let check = |d: &Dataset, want: u64| {
+            let got = fnv1a(&RStarTree::bulk_load(d, Euclidean).arena_bits());
+            assert_eq!(got, want, "n = {}: {got:#018x}", d.len());
         };
-        for (n, want64, want32) in [
-            (0, 0xcbf29ce484222325, 0xcbf29ce484222325),
-            (1, 0x17eabba4d18c1f9d, 0x66a4155bf384508d),
-            (24, 0x461f2b8fd04c7fe8, 0x14b7b6c70997911c),
-            (25, 0xb46d7e06397b9ddf, 0xa1cb4fd77731c5dd),
-            (577, 0x9b08eaada37b0e19, 0x4bd87000b0f43845),
-            (2500, 0x61bfba5577fa2c3d, 0xa5043f1e0031cc0c),
+        for (n, want) in [
+            (0, 0xcbf29ce484222325),
+            (1, 0x17eabba4d18c1f9d),
+            (24, 0x461f2b8fd04c7fe8),
+            (25, 0xb46d7e06397b9ddf),
+            (577, 0x9b08eaada37b0e19),
+            (2500, 0x61bfba5577fa2c3d),
         ] {
-            check(&testutil::random_dataset(n, 5), want64, want32);
+            check(&testutil::random_dataset(n, 5), want);
         }
         // Six tight clusters on a 3 × 2 lattice, from integer arithmetic.
         let mut clustered = Dataset::new(2);
@@ -627,6 +559,6 @@ mod tests {
                 clustered.push(&[cx + x * 0.05, cy + y * 0.05]);
             }
         }
-        check(&clustered, 0x3a50d4c47fd3fe01, 0x2a8e89727f249598);
+        check(&clustered, 0x3a50d4c47fd3fe01);
     }
 }

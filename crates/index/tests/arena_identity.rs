@@ -4,11 +4,10 @@
 //! threads (the R*-tree builds on one thread; its layout is pinned by
 //! digests in its own tests).
 //! `arena_bits()` serializes node pools, bounds, id arenas, and the
-//! SoA coordinate blocks (f64 and f32 alike) via `to_bits`, so any
-//! divergence — a reordered subtree, a rebased offset off by one, a
-//! narrowing applied in a different order — fails the equality.
+//! SoA coordinate blocks via `to_bits`, so any divergence — a
+//! reordered subtree, a rebased offset off by one — fails the equality.
 
-use dbdc_geom::{Dataset, Euclidean, Precision};
+use dbdc_geom::{Dataset, Euclidean};
 use dbdc_index::{GridIndex, KdTree};
 use proptest::prelude::*;
 
@@ -29,31 +28,26 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// kd-tree arenas are bit-identical across thread counts, under
-    /// both precisions.
+    /// kd-tree arenas are bit-identical across thread counts.
     #[test]
     fn kdtree_arenas_bit_identical(data in arb_dataset()) {
-        for precision in [Precision::F64, Precision::F32] {
-            let seq = KdTree::with_options(&data, Euclidean, 1, precision);
-            for threads in [2usize, 3, 8] {
-                let par = KdTree::with_options(&data, Euclidean, threads, precision);
-                prop_assert_eq!(seq.arena_bits(), par.arena_bits(),
-                    "kd arenas differ at {} threads ({:?})", threads, precision);
-            }
+        let seq = KdTree::new(&data, Euclidean);
+        for threads in [2usize, 3, 8] {
+            let par = KdTree::with_threads(&data, Euclidean, threads);
+            prop_assert_eq!(seq.arena_bits(), par.arena_bits(),
+                "kd arenas differ at {} threads", threads);
         }
     }
 
     /// Grid cell-table and packed arenas are bit-identical across
-    /// thread counts, under both precisions.
+    /// thread counts.
     #[test]
     fn grid_arenas_bit_identical(data in arb_dataset(), cell in 0.5..10.0f64) {
-        for precision in [Precision::F64, Precision::F32] {
-            let seq = GridIndex::with_options(&data, Euclidean, cell, 1, precision);
-            for threads in [2usize, 3, 8] {
-                let par = GridIndex::with_options(&data, Euclidean, cell, threads, precision);
-                prop_assert_eq!(seq.arena_bits(), par.arena_bits(),
-                    "grid arenas differ at {} threads ({:?})", threads, precision);
-            }
+        let seq = GridIndex::new(&data, Euclidean, cell);
+        for threads in [2usize, 3, 8] {
+            let par = GridIndex::with_threads(&data, Euclidean, cell, threads);
+            prop_assert_eq!(seq.arena_bits(), par.arena_bits(),
+                "grid arenas differ at {} threads", threads);
         }
     }
 }

@@ -11,8 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dbdc_geom::{Dataset, Euclidean, Precision};
-use dbdc_index::{build_index, build_index_opts, BuildOptions, IndexKind, QueryWorkspace};
+use dbdc_geom::{Dataset, Euclidean};
+use dbdc_index::{build_index, IndexKind, QueryWorkspace};
 
 struct CountingAlloc;
 
@@ -109,38 +109,30 @@ fn steady_state_range_queries_allocate_nothing() {
 }
 
 #[test]
-fn partition_worker_loop_allocates_nothing_either_precision() {
+fn partition_worker_loop_allocates_nothing() {
     // The partitioned local phase gives every partition worker one
     // private index and ONE reused workspace + output buffer for all of
-    // its owned points — exactly this loop. It must stay allocation-free
-    // under both scan precisions (the f32 path narrows the query into a
-    // stack buffer for dims ≤ 16, so opting in costs no allocations).
+    // its owned points — exactly this loop. It must stay allocation-free.
     let data = dataset(600);
     let eps = 4.0;
-    for precision in [Precision::F64, Precision::F32] {
-        for kind in IndexKind::ALL {
-            let opts = BuildOptions {
-                threads: 1,
-                precision,
-            };
-            let idx = build_index_opts(kind, &data, Euclidean, eps, opts, None, None);
-            let mut out: Vec<u32> = Vec::new();
-            let mut ws = QueryWorkspace::new();
+    for kind in IndexKind::ALL {
+        let idx = build_index(kind, &data, Euclidean, eps);
+        let mut out: Vec<u32> = Vec::new();
+        let mut ws = QueryWorkspace::new();
+        for i in (0..data.len() as u32).step_by(7) {
+            idx.range_with(data.point(i), eps, &mut out, &mut ws);
+        }
+
+        let before = alloc_calls();
+        for _ in 0..3 {
             for i in (0..data.len() as u32).step_by(7) {
                 idx.range_with(data.point(i), eps, &mut out, &mut ws);
             }
-
-            let before = alloc_calls();
-            for _ in 0..3 {
-                for i in (0..data.len() as u32).step_by(7) {
-                    idx.range_with(data.point(i), eps, &mut out, &mut ws);
-                }
-            }
-            assert_eq!(
-                alloc_calls() - before,
-                0,
-                "{kind:?} ({precision:?}): the partition worker's query loop must not allocate"
-            );
         }
+        assert_eq!(
+            alloc_calls() - before,
+            0,
+            "{kind:?}: the partition worker's query loop must not allocate"
+        );
     }
 }

@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 use dbdc_obs::SnapshotEngine;
 
 use crate::accept::AcceptLoop;
+use crate::frame::DEFAULT_MAX_FRAME_BYTES;
 
 /// How long a connection may dribble its response before the responder
 /// gives up on it.
@@ -49,6 +50,10 @@ const IO_TIMEOUT: Duration = Duration::from_secs(5);
 /// responder serves one connection at a time, so this bounds how long
 /// one slow client keeps every other scrape waiting.
 const HEAD_DEADLINE: Duration = Duration::from_secs(1);
+
+/// The most bytes [`http_get`] reads of one response, head and body: the
+/// frame cap, which any `/report` fits within.
+pub const MAX_RESPONSE_BYTES: usize = DEFAULT_MAX_FRAME_BYTES;
 
 /// What the admin endpoints serve, bundled by the binary that owns the
 /// run.
@@ -178,7 +183,9 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
 
 /// A minimal HTTP/1.0 GET against an admin endpoint; returns
 /// `(status, body)`. This is the client half `dbdc-cli watch` and the
-/// test suites poll with — raw `TcpStream`, no HTTP library.
+/// test suites poll with — raw `TcpStream`, no HTTP library. A response
+/// longer than [`MAX_RESPONSE_BYTES`] is an `InvalidData` error, so a
+/// peer that never stops sending cannot grow the caller without bound.
 pub fn http_get(addr: &str, path: &str, timeout: Duration) -> io::Result<(u16, String)> {
     let sockaddr: SocketAddr = addr
         .parse()
@@ -188,7 +195,15 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> io::Result<(u16, S
     stream.set_write_timeout(Some(timeout))?;
     stream.write_all(format!("GET {path} HTTP/1.0\r\nHost: dbdc\r\n\r\n").as_bytes())?;
     let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
+    stream
+        .take(MAX_RESPONSE_BYTES as u64 + 1)
+        .read_to_end(&mut raw)?;
+    if raw.len() > MAX_RESPONSE_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("response longer than MAX_RESPONSE_BYTES ({MAX_RESPONSE_BYTES} bytes)"),
+        ));
+    }
     let text = String::from_utf8_lossy(&raw).into_owned();
     let status = text
         .lines()

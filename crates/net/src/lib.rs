@@ -47,7 +47,7 @@ pub mod retry;
 pub mod server;
 pub mod site;
 
-pub use admin::{http_get, AdminServer, AdminState};
+pub use admin::{http_get, AdminServer, AdminState, MAX_RESPONSE_BYTES};
 pub use error::{FrameError, NetError};
 pub use fault::{FaultPlan, FaultProxy, FaultStats, SplitMix64};
 pub use frame::{

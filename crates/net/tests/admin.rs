@@ -3,15 +3,19 @@
 //! a scrape taken after `serve` returns equals the exit-time recorder
 //! state — counter for counter, bucket for bucket — so the watch table
 //! and the `--metrics-out` report can never disagree about a finished
-//! run.
+//! run. The client half, `http_get`, reads a bounded response.
 
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dbdc::{DbdcParams, EpsGlobal, Partitioner};
 use dbdc_datagen::dataset_c;
-use dbdc_net::{http_get, run_site, serve, AdminServer, AdminState, ServeOptions, SiteOptions};
+use dbdc_net::{
+    http_get, run_site, serve, AdminServer, AdminState, ServeOptions, SiteOptions,
+    MAX_RESPONSE_BYTES,
+};
 use dbdc_obs::{NoopRecorder, RecordingRecorder, RunReport, SnapshotEngine, TelemetrySnapshot};
 
 const N_SITES: usize = 4;
@@ -125,4 +129,37 @@ fn admin_scrapes_track_a_live_fleet_exactly() {
     assert_eq!(report.scopes, fin.counters);
     assert_eq!(report.role.as_deref(), Some("server"));
     admin.shutdown();
+}
+
+/// A fake endpoint whose response runs 1 MiB past the limit: `http_get`
+/// stops reading at `MAX_RESPONSE_BYTES` and fails naming the limit,
+/// instead of buffering for as long as the peer sends.
+#[test]
+fn http_get_stops_at_the_response_limit() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let endpoint = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut request = [0u8; 256];
+        let _ = stream.read(&mut request);
+        let head = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n";
+        let chunk = vec![b' '; 1 << 16];
+        let mut sent = 0;
+        let _ = stream.write_all(head);
+        while sent < MAX_RESPONSE_BYTES + (1 << 20) && stream.write_all(&chunk).is_ok() {
+            sent += chunk.len();
+        }
+        head.len() + sent
+    });
+    let err = match http_get(&addr, "/report", Duration::from_secs(5)) {
+        Ok((status, body)) => panic!("status {status} with a {}-byte body", body.len()),
+        Err(err) => err,
+    };
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    assert!(err.to_string().contains("MAX_RESPONSE_BYTES"), "{err}");
+    let sent = endpoint.join().expect("endpoint thread");
+    assert!(
+        sent > MAX_RESPONSE_BYTES,
+        "the endpoint sent only {sent} bytes"
+    );
 }

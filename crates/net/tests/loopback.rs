@@ -12,7 +12,6 @@ use std::time::Duration;
 use dbdc::{run_dbdc, DbdcOutcome, DbdcParams, EpsGlobal, Partitioner};
 use dbdc_datagen::dataset_c;
 use dbdc_geom::{Clustering, Dataset, Label};
-use dbdc_index::Precision;
 use dbdc_net::{
     read_frame, run_site, serve, write_frame, FaultPlan, FaultProxy, Frame, FrameKind, Hello,
     NetError, RetryPolicy, ServeOptions, ServerOutcome, SiteOptions, SiteOutcome,
@@ -102,7 +101,7 @@ fn clean_loopback_matches_in_process_runtime() {
     for p in [
         params(),
         params().with_threads(2).with_partitions(2),
-        params().with_precision(Precision::F32),
+        params().with_threads(2),
     ] {
         let reference = run_dbdc(&g.data, &p, partitioner(), N_SITES);
         let mut serve_opts = ServeOptions::new(N_SITES, p);
